@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 5x
-BENCHOUT ?= BENCH_9.json
+BENCHOUT ?= $(if $(PR),BENCH_$(PR).json)
 CHAOS_SEEDS ?= 20
 
 .PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile
@@ -72,8 +72,13 @@ chaos-poison:
 # The benchmark trajectory: the paper's Figure 7/8 runtime curves, the
 # Section V-B detection scenarios, and the Fig7Sweep15 legacy-vs-pipeline
 # headline pair, rendered to $(BENCHOUT) by cmd/benchjson (host ns/op,
-# sim-ms/op, allocs/op, ptwalks/op, plus the baseline comparison).
+# sim-ms/op, allocs/op, ptwalks/op, plus the baseline comparison). The file
+# is named after the change it measures: `make bench PR=<n>` writes
+# BENCH_<n>.json; BENCHOUT=path overrides the name.
 bench:
+	@if [ -z "$(BENCHOUT)" ]; then \
+		echo "usage: make bench PR=<n>   (writes BENCH_<n>.json; or BENCHOUT=<file>)"; exit 2; \
+	fi
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep15|BenchmarkFig7RuntimeIdle|BenchmarkFig8RuntimeLoaded|BenchmarkDetect' \
 		-benchtime $(BENCHTIME) -benchmem . > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep' -benchtime 1x -benchmem . >> bench.out
@@ -91,7 +96,7 @@ bench-smoke:
 
 # One-iteration 1000-VM fleet sweep (-short skips the 10k/100k curve): fails
 # if the copy-on-write fleet path errors or flags a clean pool, not on
-# performance. The full scaling curve ships with `make bench` ($(BENCHOUT)).
+# performance. The full scaling curve ships with `make bench PR=<n>`.
 fleet-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetSweep/vms=1000$$' -benchtime 1x -benchmem -short . > fleet-smoke.out
 	$(GO) run ./cmd/benchjson -baseline none < fleet-smoke.out
@@ -99,13 +104,16 @@ fleet-smoke:
 
 # The digest-cache gate: the cached-vs-uncached differential suite (cold
 # byte-identity, warm equivalence, invalidation, budget/resume), the
-# persistent-tier reopen test, and the same differentials again under the
-# modpoison build tag, which scribbles every recycled fetch/scratch buffer
-# to surface use-after-put bugs as garbage digests.
+# persistent-tier reopen test, and the same differentials plus the
+# engine-vs-pairwise oracle differentials again under the modpoison build
+# tag, which scribbles every recycled fetch/scratch buffer to surface
+# use-after-put bugs as garbage digests. The pool engine recycles
+# non-representative buffers early on every path, so every oracle
+# differential runs poisoned.
 cache-smoke:
 	$(GO) test -count=1 -run 'TestCached|TestTargetIdentity|TestResumeResamplesIdentity' .
 	$(GO) test -count=1 ./internal/cas
-	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean' . ./internal/core
+	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean|TestClusteredMatchesPairwise' . ./internal/core
 
 # Traced 15-VM sweep through the CLI, validated by cmd/tracecheck: the
 # Chrome trace export must stay structurally loadable (Perfetto) and

@@ -128,11 +128,13 @@ type Config struct {
 	// Workers bounds the goroutines of the parallel fetch and compare
 	// stages; zero means DefaultWorkers (the paper's 8-thread host).
 	Workers int
-	// FullPairwise forces CheckPool onto the legacy O(n²) comparison path
-	// (every pair normalized and hashed independently) instead of digest
-	// pre-clustering. The results are identical — the differential tests
-	// pin that — so this exists for benchmarking the two paths and as a
-	// paper-faithful reference.
+	// FullPairwise routes pool checks (CheckPool and sweep sessions) to the
+	// paper-faithful O(n²) oracle — every pair normalized and hashed
+	// independently — instead of the pool engine. The engine must report
+	// exactly what the oracle reports (the differential tests pin that), so
+	// this exists for benchmarking the two and as the reference. The
+	// oracle fetches every VM and builds full reports: ShardSize,
+	// LeanReports and DigestCache do not apply to it.
 	FullPairwise bool
 	// Retry governs how fetches respond to transient introspection faults.
 	// The zero value means one attempt, no verification.
@@ -144,8 +146,8 @@ type Config struct {
 	// are resident at once to O(ShardSize + clusters) instead of O(pool).
 	// Digest equality implies a pairwise match, so per-shard clusters
 	// compose into pool-wide clusters without re-comparison, and the
-	// resulting reports are byte-identical to the flat clustered path (the
-	// differential tests pin this).
+	// resulting reports are byte-identical for every shard size (the
+	// differential tests pin this). CheckPool always runs one shard.
 	ShardSize int
 	// LeanReports drops per-VM reports for clean VMs from PoolReports:
 	// verdicts are derived from cluster sizes in O(clusters² + pool) and
@@ -153,7 +155,7 @@ type Config struct {
 	// ModuleReport — without Pairs or MismatchedVMs lists, which are O(pool)
 	// each. Simulated costs, alerts, and verdicts are unchanged; only the
 	// host-side report size shrinks. Required for streaming sweeps over
-	// very large pools.
+	// very large pools; the Scanner always sets it.
 	LeanReports bool
 	// DedupIdentical lets pool sweeps consult Target.Identity and
 	// introspect only one VM of each content-identity group, sharing its
@@ -162,16 +164,16 @@ type Config struct {
 	// (it is the optimization, not a refactoring), so it is never enabled
 	// on the paper-faithful paths or under fault injection.
 	DedupIdentical bool
-	// DigestCache, when set, routes pool-sweep module checks through the
-	// content-addressed digest store: a VM whose content token matches a
-	// stored conclusion skips its fetch entirely and is charged only
-	// CostCASLookup; misses do the full fetch+digest and populate the store.
-	// Verdicts are provably unchanged (tokens only hit when the guest image
-	// is bit-identical to when the entry was written — the differential
-	// tests pin cached ≡ uncached reports), and a cold store changes
-	// nothing at all, simulated time included. Ignored by the per-call
-	// CheckModule/CheckPool paths and under FullPairwise (there are no
-	// digest keys to cache there).
+	// DigestCache, when set, puts the content-addressed digest store in
+	// front of pool-sweep fetches as a lookup stage: a VM whose content
+	// token matches a stored conclusion skips its fetch entirely and is
+	// charged only CostCASLookup; misses do the full fetch+digest and
+	// populate the store. Verdicts are provably unchanged (tokens only hit
+	// when the guest image is bit-identical to when the entry was written —
+	// the differential tests pin cached ≡ uncached reports), and a cold
+	// store changes nothing at all, simulated time included. Ignored by the
+	// per-call CheckModule/CheckPool paths and under FullPairwise (there are
+	// no digest keys to cache there).
 	DigestCache *cas.Store
 	// Charge, if set, is invoked with the nominal duration of each unit of
 	// work and returns the effective (contention-stretched) duration. The
@@ -441,7 +443,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 
 	rep.Elapsed = tf.timing.Searcher + tf.timing.Parser + tf.timing.Checker
 
-	peerFetches, fetchElapsed := c.fetchStage(module, peers)
+	peerFetches, fetchElapsed := c.fetchStage(module, &poolSource{vms: peers})
 	rep.Elapsed += fetchElapsed
 
 	tallies := make(map[string]*ComponentTally)

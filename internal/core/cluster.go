@@ -51,7 +51,7 @@ func (c *Checker) ClusterPool(module string, vms []Target) (*ClusterReport, erro
 		return nil, fmt.Errorf("core: cluster check of %s needs at least 2 VMs", module)
 	}
 	// Fetch fan-out is bounded by the checker's worker cap, like CheckPool's.
-	fetches, _ := c.fetchStage(module, vms)
+	fetches, _ := c.fetchStage(module, &poolSource{vms: vms})
 
 	rep := &ClusterReport{ModuleName: module, MajorityCluster: -1, Errors: map[string]error{}}
 	// Greedy clustering against each cluster's representative fetch.

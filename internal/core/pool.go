@@ -57,12 +57,6 @@ type StageTiming struct {
 // Total returns the summed stage time.
 func (s StageTiming) Total() time.Duration { return s.Fetch + s.Digest + s.Compare }
 
-func (s *StageTiming) addInto(o StageTiming) {
-	s.Fetch += o.Fetch
-	s.Digest += o.Digest
-	s.Compare += o.Compare
-}
-
 // Report returns the per-VM report for the named VM, or nil.
 func (p *PoolReport) Report(vm string) *ModuleReport {
 	for _, r := range p.VMReports {
@@ -75,82 +69,55 @@ func (p *PoolReport) Report(vm string) *ModuleReport {
 
 // CheckPool fetches the module once from every VM and derives a per-VM
 // majority verdict from cross-comparison. Unlike calling CheckModule per
-// target (which refetches peers each time), the pool sweep reuses each
-// fetch, so introspection cost stays linear in pool size; the comparison
-// stage is digest pre-clustering by default (O(n) normalizations against a
-// reference plus one true comparison per cluster pair) with the legacy
-// O(n²) full-pairwise path selectable via Config.FullPairwise.
+// target (which refetches peers each time), the pool check reuses each
+// fetch, so introspection cost stays linear in pool size. It runs the pool
+// engine (engine.go) as one shard without a digest store — O(n)
+// normalizations against a reference plus one true comparison per cluster
+// pair — or, under Config.FullPairwise, the O(n²) pairwise oracle. Each
+// fetch walks the VM's module list itself, so the walk is charged inside
+// the fetch.
 //
 //modsafe:charged
 func (c *Checker) CheckPool(module string, vms []Target) (*PoolReport, error) {
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("core: pool check of %s needs at least 2 VMs, have %d", module, len(vms))
 	}
+	all := selfLeaders(len(vms))
+	src := &poolSource{vms: vms, leaders: all, leader: all}
+	if c.cfg.FullPairwise {
+		return c.checkPairwise(module, src), nil
+	}
+	return c.checkClustered(module, src, 0, nil), nil
+}
+
+// checkPairwise is the paper-faithful oracle: fetch every VM, run Algorithm
+// 2 plus hashing on every healthy pair independently, and derive each
+// report pair by pair. The engine must agree with it report for report;
+// the differential tests hold it to that.
+func (c *Checker) checkPairwise(module string, src *poolSource) *PoolReport {
 	rep := &PoolReport{ModuleName: module}
-	fetches, fetchElapsed := c.fetchStage(module, vms)
-	rep.Elapsed = fetchElapsed
-	rep.Stages.Fetch = fetchElapsed
+	fetches, fetchElapsed := c.fetchStage(module, src)
 	for _, f := range fetches {
 		rep.Timing.addInto(f.timing)
 	}
-	c.assemblePool(rep, module, vms, fetches)
+	mismatches, work, compareElapsed := c.comparePairwise(module, fetches)
+	rep.Timing.Checker += work
+	rep.Stages.Fetch, rep.Stages.Compare = fetchElapsed, compareElapsed
+	rep.Elapsed = fetchElapsed + compareElapsed
+	c.derivePool(rep, module, src.vms, fetches, mismatches)
 	for _, f := range fetches {
 		c.releaseFetched(f)
 	}
-	return rep, nil
+	return rep
 }
 
-// assemblePool runs the comparison stage over the fetches and derives every
-// PairResult, ComponentTally and verdict of the report. Both comparison
-// paths feed the same mismatch map — an absent entry means the pair matched
-// — so the derivation below is identical for the clustered and the
-// full-pairwise stage.
-func (c *Checker) assemblePool(rep *PoolReport, module string, vms []Target, fetches []*fetched) {
-	var mismatches map[pairKey][]string
-	var work time.Duration
-	var st StageTiming
-	if c.cfg.FullPairwise {
-		mismatches, work, st = c.comparePairwise(module, fetches)
-	} else {
-		mismatches, work, st = c.compareClustered(module, fetches)
-	}
-	rep.Timing.Checker += work
-	rep.Stages.Digest += st.Digest
-	rep.Stages.Compare += st.Compare
-	rep.Elapsed += st.Digest + st.Compare
-
-	c.derivePool(rep, module, vms, poolView{
-		err:  func(i int) error { return fetches[i].err },
-		base: func(i int) uint32 { return fetches[i].info.Base },
-		components: func(i int) []string {
-			comps := fetches[i].parsed.Components
-			names := make([]string, len(comps))
-			for k := range comps {
-				names[k] = comps[k].Name
-			}
-			return names
-		},
-	}, mismatches)
-}
-
-// poolView abstracts the per-VM facts the report derivation reads, so the
-// flat path (which still holds every fetch) and the sharded fleet path
-// (which has dropped member buffers and kept only cluster representatives)
-// derive reports through the same code. base and components are consulted
-// only for VMs whose err is nil.
-type poolView struct {
-	err        func(i int) error
-	base       func(i int) uint32
-	components func(i int) []string
-}
-
-// derivePool fills a PoolReport's VMReports, tallies, verdicts and
-// flag/error lists from the mismatch map — an absent pair entry means the
-// pair matched.
-func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poolView, mismatches map[pairKey][]string) {
+// derivePool fills the oracle's VMReports, tallies, verdicts and
+// flag/error lists from the pairwise mismatch map — an absent pair entry
+// means the pair matched.
+func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, fetches []*fetched, mismatches map[pairKey][]string) {
 	for i := range vms {
 		r := &ModuleReport{ModuleName: module, TargetVM: vms[i].Name}
-		if err := v.err(i); err != nil {
+		if err := fetches[i].err; err != nil {
 			r.Verdict = VerdictError
 			r.Err = err
 			r.ErrClass = faults.Classify(err)
@@ -162,10 +129,10 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poo
 			continue
 		}
 		rep.Healthy++
-		r.Base = v.base(i)
+		r.Base = fetches[i].info.Base
 		tallies := make(map[string]*ComponentTally)
 		var order []string
-		for _, name := range v.components(i) {
+		for _, name := range componentNames(fetches[i]) {
 			tallies[name] = &ComponentTally{Name: name}
 			order = append(order, name)
 		}
@@ -173,7 +140,7 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poo
 			if j == i {
 				continue
 			}
-			if perr := v.err(j); perr != nil {
+			if perr := fetches[j].err; perr != nil {
 				r.Pairs = append(r.Pairs, PairResult{
 					PeerVM: vms[j].Name, Err: perr, ErrClass: faults.Classify(perr),
 				})

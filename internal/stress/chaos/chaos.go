@@ -38,6 +38,9 @@ type Config struct {
 	VMBudget time.Duration
 	// Parallel runs the checker's parallel pipeline.
 	Parallel bool
+	// ShardSize, when positive, drives each module check's fetch+digest
+	// work in shards of at most this many VMs.
+	ShardSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -151,6 +154,9 @@ func Run(cfg Config) (*Result, error) {
 	opts := []modchecker.CheckerOption{modchecker.WithRetry(modchecker.DefaultRetryPolicy())}
 	if cfg.Parallel {
 		opts = append(opts, modchecker.WithParallel())
+	}
+	if cfg.ShardSize > 0 {
+		opts = append(opts, modchecker.WithShardSize(cfg.ShardSize))
 	}
 	sc := cloud.NewScanner(opts...)
 	sc.SetHealthPolicy(modchecker.HealthPolicy{QuarantineAfter: 2, ReadmitAfter: 1})

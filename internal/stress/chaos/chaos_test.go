@@ -24,7 +24,8 @@ func seedCount(t *testing.T) int {
 
 // configFor spreads the soak across the robustness feature matrix: every
 // third seed arms the sweep budget (checkpoint/resume under fire), every
-// fourth the per-VM budget, and odd seeds run the parallel pipeline.
+// fourth the per-VM budget, odd seeds run the parallel pipeline, and the
+// seed picks the engine's shard size from {0 (one shard), 1, 4}.
 func configFor(i int) Config {
 	cfg := Config{Seed: 1000 + int64(i)*17}
 	if i%3 == 0 {
@@ -34,6 +35,7 @@ func configFor(i int) Config {
 		cfg.VMBudget = 8 * time.Millisecond
 	}
 	cfg.Parallel = i%2 == 1
+	cfg.ShardSize = []int{0, 1, 4}[cfg.Seed%3]
 	return cfg
 }
 

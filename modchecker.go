@@ -440,10 +440,10 @@ func WithWorkers(n int) CheckerOption {
 	return func(c *core.Config) { c.Workers = n }
 }
 
-// WithFullPairwise forces pool checks onto the legacy O(n²) comparison path
-// instead of digest pre-clustering. Results are identical; this exists for
-// benchmarking the two paths against each other and as a paper-faithful
-// reference.
+// WithFullPairwise routes pool checks to the paper-faithful O(n²) oracle —
+// every pair compared independently — instead of the digest-clustering
+// pool engine. Results are identical; this exists for benchmarking the two
+// against each other and as the reference the engine is tested against.
 func WithFullPairwise() CheckerOption {
 	return func(c *core.Config) { c.FullPairwise = true }
 }
@@ -476,8 +476,8 @@ func WithQuorum(q QuorumPolicy) CheckerOption {
 // WithShardSize makes pool sweeps process VMs in shards of at most n,
 // bounding resident module copies to O(n + clusters) instead of O(pool).
 // Because every shard digests against the same pool-wide reference, the
-// composed result — reports, traces, simulated costs — is byte-identical to
-// the flat clustered path; n only caps memory and intra-shard parallelism.
+// composed result — reports, traces, simulated costs — is byte-identical for
+// every n; n only caps memory and intra-shard parallelism.
 func WithShardSize(n int) CheckerOption {
 	return func(c *core.Config) { c.ShardSize = n }
 }
@@ -486,7 +486,8 @@ func WithShardSize(n int) CheckerOption {
 // O(clusters² + pool) and materializes ModuleReports only for non-clean VMs.
 // Verdicts, alerts, counts, and simulated costs are unchanged; the per-pair
 // detail lists (Pairs, MismatchedVMs) that grow O(pool) per VM are omitted.
-// Required reading for 100k-VM sweeps; pointless below a few hundred.
+// It matters only to direct PoolSweep and CheckPool callers: the Scanner
+// reads nothing but non-clean reports and always derives lean ones.
 func WithLeanReports() CheckerOption {
 	return func(c *core.Config) { c.LeanReports = true }
 }
@@ -495,8 +496,9 @@ func WithLeanReports() CheckerOption {
 // forks still sharing their template's frozen image report the same
 // Target.Identity — and shares the leader's verdict with the group. This
 // deliberately changes the simulated cost model (the deduped VMs' fetches
-// cost nothing), so it is an explicit opt-in, never byte-identical to the
-// flat path, and inert under a fault plan (no identities are advertised).
+// cost nothing), so it is an explicit opt-in, never byte-identical to a
+// sweep without it, and inert under a fault plan (no identities are
+// advertised).
 func WithIdentityDedup() CheckerOption {
 	return func(c *core.Config) { c.DedupIdentical = true }
 }

@@ -91,6 +91,79 @@ func TestClusteredMatchesPairwiseInfected(t *testing.T) {
 	}
 }
 
+// sessionReports opens one sweep session on a fresh infected 15-VM pool and
+// checks every module through it.
+func sessionReports(t *testing.T, opts ...CheckerOption) []*PoolReport {
+	t.Helper()
+	sweep, err := infectedCloud(t, 42).NewChecker(opts...).NewPoolSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sweep.Close()
+	mods, err := sweep.Modules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweep.CheckModules(mods)
+}
+
+// leanFingerprint renders what a lean report must share with the oracle:
+// the verdict lists, and every non-clean VM's verdict, counts and
+// component tallies (lean reports omit Pairs and MismatchedVMs).
+func leanFingerprint(rep *PoolReport) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "module=%s healthy=%d flagged=%v inconclusive=%v errored=%v\n",
+		rep.ModuleName, rep.Healthy, rep.Flagged, rep.Inconclusive, rep.Errored)
+	for _, r := range rep.VMReports {
+		if r.Verdict == VerdictClean {
+			continue
+		}
+		fmt.Fprintf(&b, "vm=%s verdict=%v succ=%d comp=%d\n", r.TargetVM, r.Verdict, r.Successes, r.Comparisons)
+		for _, c := range r.Components {
+			fmt.Fprintf(&b, "  comp %s matches=%d mismatches=%d\n", c.Name, c.Matches, c.Mismatches)
+		}
+	}
+	return b.String()
+}
+
+// TestClusteredMatchesPairwiseInfectedSession is the session-level oracle:
+// on the paper's infected 15-VM pool, a sweep session through the pool
+// engine — default, parallel, sharded, and with a cold digest store — must
+// report every module exactly as a FullPairwise session does, per-VM Pairs
+// and MismatchedVMs included. With lean reports on, every non-clean VM's
+// verdict, counts and component tallies must still equal the oracle's.
+func TestClusteredMatchesPairwiseInfectedSession(t *testing.T) {
+	oracle := sessionReports(t, WithFullPairwise())
+	configs := []struct {
+		name string
+		opts []CheckerOption
+	}{
+		{"default", nil},
+		{"parallel", []CheckerOption{WithParallel()}},
+		{"shard4", []CheckerOption{WithShardSize(4)}},
+		{"cold-cache", []CheckerOption{WithDigestCache(NewDigestStore(0))}},
+	}
+	for _, cf := range configs {
+		t.Run(cf.name, func(t *testing.T) {
+			got := sessionReports(t, cf.opts...)
+			lean := sessionReports(t, append(append([]CheckerOption{}, cf.opts...), WithLeanReports())...)
+			if len(got) != len(oracle) || len(lean) != len(oracle) {
+				t.Fatalf("checked %d and %d modules, oracle %d", len(got), len(lean), len(oracle))
+			}
+			for k, want := range oracle {
+				if a, b := poolFingerprint(got[k]), poolFingerprint(want); a != b {
+					t.Errorf("%s: session diverges from pairwise oracle:\n--- engine\n%s--- pairwise\n%s",
+						want.ModuleName, a, b)
+				}
+				if a, b := leanFingerprint(lean[k]), leanFingerprint(want); a != b {
+					t.Errorf("%s: lean session diverges from pairwise oracle:\n--- lean\n%s--- pairwise\n%s",
+						want.ModuleName, a, b)
+				}
+			}
+		})
+	}
+}
+
 // TestClusteredMatchesPairwiseUnderFaults runs the differential through a
 // fault plan: transient outages crossed by retries, a permanently dead VM.
 // Each path gets a fresh identically seeded cloud and plan, because fault

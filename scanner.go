@@ -162,9 +162,7 @@ type SweepReport struct {
 
 // SweepTiming is a sweep's per-stage elapsed breakdown plus the total work
 // per ModChecker component. List is the session's one-time module-table
-// snapshot; Fetch/Digest/Compare sum each module's stage elapsed. In
-// pipelined parallel mode the stage sums exceed Simulated, because module
-// k+1's fetch overlaps module k's comparison.
+// snapshot; Fetch/Digest/Compare sum each module's stage elapsed.
 type SweepTiming struct {
 	List    time.Duration
 	Fetch   time.Duration
@@ -220,9 +218,13 @@ type Scanner struct {
 
 // NewScanner creates a scanner over the whole cloud. Checker options
 // (WithParallel, WithRetry, ...) apply to every sweep. Restricting to
-// specific modules is possible with SetModules.
+// specific modules is possible with SetModules. A sweep reads only the
+// non-clean VM reports of each module, their reasons and their mismatched
+// components, so the scanner always derives lean reports (WithLeanReports
+// is implied).
 func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 	reg := c.Metrics()
+	opts = append(opts[:len(opts):len(opts)], WithLeanReports())
 	return &Scanner{
 		cloud:   c,
 		checker: c.NewChecker(opts...),
@@ -451,11 +453,10 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	}
 
 	// Stream per-module reports as they complete instead of collecting them
-	// all first: each PoolReport is folded into the sweep report and dropped,
-	// so the sweep never holds more than one module's reports at a time —
-	// the invariant that keeps fleet-scale sweeps' memory flat. In parallel
-	// (non-fleet) mode the session still pipelines: module k+1's fetches
-	// overlap module k's comparison stage.
+	// all first: each lean PoolReport (non-clean VMs only) is folded into the
+	// sweep report and dropped, so the sweep never holds more than one
+	// module's reports at a time — the invariant that keeps fleet-scale
+	// sweeps' memory flat.
 	mi := 0
 	session.CheckModulesFunc(modules, func(pool *PoolReport) {
 		module := modules[mi]
