@@ -146,3 +146,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzModdetTaint$$' -fuzztime=$(FUZZTIME) ./internal/lint/moddet
 	$(GO) test -run='^$$' -fuzz='^FuzzModsafeLockorder$$' -fuzztime=$(FUZZTIME) ./internal/lint/modsafe
 	$(GO) test -run='^$$' -fuzz='^FuzzModown$$' -fuzztime=$(FUZZTIME) ./internal/lint/modown
+	$(GO) test -run='^$$' -fuzz='^FuzzModlintSuite$$' -fuzztime=$(FUZZTIME) ./cmd/modlint

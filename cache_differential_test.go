@@ -67,7 +67,8 @@ func cacheScenarios() []struct {
 // cold store changes nothing. CostCASLookup is only charged on hits, so the
 // first sweep through an empty store must reproduce the uncached sweep
 // byte-for-byte — verdicts, alerts, and simulated timing included — for
-// every scenario, on the flat path and on the sharded lean fleet path.
+// every scenario, on the one-shard engine and on the sharded lean fleet
+// path.
 func TestCachedSweepColdMatchesUncached(t *testing.T) {
 	for _, sc := range cacheScenarios() {
 		t.Run(sc.name, func(t *testing.T) {

@@ -19,11 +19,13 @@
 // code scanning ingests.
 //
 // -run restricts the run to an exact comma-separated list of rule names
-// (as printed by -list): only analyzers owning a named rule execute, and
-// only findings under the named rules are reported. A name that matches
-// no rule is a usage error — a typo must not silently pass CI.
+// (as printed by -list): only the analyzers and whole-program passes owning
+// a named rule execute, and only findings under the named rules are
+// reported. A name that matches no rule is a usage error — a typo must not
+// silently pass CI.
 //
-// The moddet/modsafe/modown whole-program passes need to see every package
+// The moddet/modsafe/modown passes run as one suite over a single
+// type-check and call graph of the module. They need to see every package
 // at once, so they run only when the whole module is loaded (the "./..."
 // default); explicit package-directory runs get the per-package rules
 // alone. Whole-program analysis degrades gracefully on type-check
@@ -39,35 +41,22 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/moddet"
+	"modchecker/internal/lint/modgraph"
 	"modchecker/internal/lint/modown"
 	"modchecker/internal/lint/modsafe"
 )
 
-// moduleAnalyzers constructs the whole-program analyzer set for a module
-// path ("" is fine for rule listing).
-func moduleAnalyzers(modulePath string) []lint.ModuleAnalyzer {
-	return []lint.ModuleAnalyzer{
-		moddet.New(modulePath),
-		modsafe.New(modulePath),
-		modown.New(modulePath),
-	}
-}
-
-// knownRules is a non-running ModuleAnalyzer whose only job is to keep the
-// unselected rules resolvable under -run: //modlint:ignore directives
-// naming a deselected rule must stay valid, not become findings.
-type knownRules struct{ names []string }
-
-func (k knownRules) Name() string    { return "known-rules" }
-func (k knownRules) Doc() string     { return "rule names registered for suppression resolution only" }
-func (k knownRules) Rules() []string { return k.names }
-func (k knownRules) CheckModule([]*lint.Package, lint.SuppressionSet) []lint.Finding {
-	return nil
+// suite is the whole-program suite: every moddet, modsafe and modown pass
+// over one shared type-check, call graph and directive walk. The module
+// path may be "" for rule listing.
+func suite(modulePath string) *modgraph.Suite {
+	return modgraph.NewSuite(modulePath, moddet.Tool, modsafe.Tool, modown.Tool)
 }
 
 func main() {
@@ -86,9 +75,9 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%-18s %s\n", a.Name(), a.Doc())
 		}
-		for _, m := range moduleAnalyzers("") {
-			for _, r := range m.Rules() {
-				fmt.Printf("%-18s %s\n", r, m.Name()+": "+m.Doc())
+		for _, t := range suite("").Tools() {
+			for _, r := range t.Rules() {
+				fmt.Printf("%-18s %s\n", r, t.Name+": "+t.Doc)
 			}
 		}
 		return
@@ -112,27 +101,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var modAnalyzers []lint.ModuleAnalyzer
-	if wholeModule {
-		modAnalyzers = moduleAnalyzers(moddet.ReadModulePath(root))
-	}
-
-	if selected != nil {
-		analyzers, modAnalyzers = applyRunFilter(selected, analyzers, modAnalyzers)
-	}
-
-	findings, errs := lint.RunAllErrs(pkgs, analyzers, modAnalyzers)
+	findings, errs := analyze(pkgs, analyzers, wholeModule, moddet.ReadModulePath(root), selected)
 	for _, e := range errs {
 		fmt.Fprintln(os.Stderr, "modlint: substrate:", e)
-	}
-	if selected != nil {
-		kept := findings[:0]
-		for _, f := range findings {
-			if selected[f.Rule] {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
 	}
 	relativize(root, findings)
 	if *sarifOut != "" {
@@ -174,10 +145,8 @@ func parseRunFilter(spec string, analyzers []lint.Analyzer) (map[string]bool, er
 	for _, a := range analyzers {
 		known[a.Name()] = true
 	}
-	for _, m := range moduleAnalyzers("") {
-		for _, r := range m.Rules() {
-			known[r] = true
-		}
+	for _, r := range suite("").Rules() {
+		known[r] = true
 	}
 	selected := make(map[string]bool)
 	for _, name := range strings.Split(spec, ",") {
@@ -198,59 +167,35 @@ func parseRunFilter(spec string, analyzers []lint.Analyzer) (map[string]bool, er
 	return selected, nil
 }
 
-// applyRunFilter keeps the per-package analyzers named by the filter and
-// the whole-program analyzers owning at least one selected rule. The
-// deselected rule names ride along in a knownRules stub so existing
-// //modlint:ignore directives naming them still resolve.
-func applyRunFilter(selected map[string]bool, analyzers []lint.Analyzer, modAnalyzers []lint.ModuleAnalyzer) ([]lint.Analyzer, []lint.ModuleAnalyzer) {
-	var keptA []lint.Analyzer
-	var rest []string
-	for _, a := range analyzers {
-		if selected[a.Name()] {
-			keptA = append(keptA, a)
-		} else {
-			rest = append(rest, a.Name())
-		}
+// selection returns what a run executes: the per-package analyzers and the
+// whole-program suite, which runs its passes only over a whole-module load.
+// A non-nil selected (the -run set) keeps only the analyzers and suite
+// passes owning a selected rule. The suite reports every rule name even
+// when it runs none of its passes, so //modlint:ignore directives naming a
+// deselected or whole-program rule stay valid.
+func selection(analyzers []lint.Analyzer, wholeModule bool, modulePath string, selected map[string]bool) ([]lint.Analyzer, lint.ModuleAnalyzer) {
+	s := suite(modulePath)
+	switch {
+	case !wholeModule:
+		s = s.Only(map[string]bool{})
+	case selected != nil:
+		s = s.Only(selected)
 	}
-	var keptM []lint.ModuleAnalyzer
-	for _, m := range modAnalyzers {
-		keep := false
-		for _, r := range m.Rules() {
-			if selected[r] {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			keptM = append(keptM, m)
-		} else {
-			rest = append(rest, m.Rules()...)
-		}
+	if selected != nil {
+		analyzers = slices.DeleteFunc(slices.Clone(analyzers), func(a lint.Analyzer) bool { return !selected[a.Name()] })
 	}
-	// Rules the stub must also cover even when no module analyzers run
-	// (package-dir invocations): the whole-program rule names.
-	seen := make(map[string]bool, len(rest))
-	for _, r := range rest {
-		seen[r] = true
+	return analyzers, s
+}
+
+// analyze runs the selection over pkgs and, under -run, keeps only the
+// findings under the selected rules.
+func analyze(pkgs []*lint.Package, analyzers []lint.Analyzer, wholeModule bool, modulePath string, selected map[string]bool) ([]lint.Finding, []error) {
+	analyzers, s := selection(analyzers, wholeModule, modulePath, selected)
+	findings, errs := lint.RunAllErrs(pkgs, analyzers, []lint.ModuleAnalyzer{s})
+	if selected != nil {
+		findings = slices.DeleteFunc(findings, func(f lint.Finding) bool { return !selected[f.Rule] })
 	}
-	for _, m := range moduleAnalyzers("") {
-		for _, r := range m.Rules() {
-			covered := seen[r]
-			for _, k := range keptM {
-				for _, kr := range k.Rules() {
-					if kr == r {
-						covered = true
-					}
-				}
-			}
-			if !covered {
-				seen[r] = true
-				rest = append(rest, r)
-			}
-		}
-	}
-	sort.Strings(rest)
-	return keptA, append(keptM, knownRules{names: rest})
+	return findings, errs
 }
 
 // relativize rewrites finding paths to be module-root-relative, the form CI

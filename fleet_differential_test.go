@@ -112,7 +112,7 @@ func TestShardedSweepMatchesFlat(t *testing.T) {
 // TestShardedBudgetedSweepMatchesFlat: PR 7's checkpoint/resume must keep
 // working with sharding on. A sweep budget that cuts the first sweep mid-way
 // defers the same modules, and the resumed sweep finishes the same
-// remainder, byte-identically to the flat path.
+// remainder, byte-identically to the one-shard engine.
 func TestShardedBudgetedSweepMatchesFlat(t *testing.T) {
 	run := func(opts ...CheckerOption) []byte {
 		cloud := testCloud(t, 15, 51)
@@ -156,7 +156,8 @@ func TestShardedBudgetedSweepMatchesFlat(t *testing.T) {
 // TestLeanSweepMatchesFlat: lean reports drop per-pair detail inside
 // PoolReports, but everything the scanner folds into the SweepReport —
 // alerts with their components and reasons, verdict counts, health, module
-// errors, simulated timing — must come out byte-identical to the flat path.
+// errors, simulated timing — must come out byte-identical to the one-shard
+// engine.
 func TestLeanSweepMatchesFlat(t *testing.T) {
 	scenario := func(t *testing.T, c *Cloud) {
 		t.Helper()

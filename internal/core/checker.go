@@ -226,8 +226,6 @@ func (t *PhaseTiming) Add(o PhaseTiming) {
 	t.Checker += o.Checker
 }
 
-func (t *PhaseTiming) addInto(o PhaseTiming) { t.Add(o) }
-
 // PairResult is the outcome of comparing the target's module against one
 // peer VM's copy.
 type PairResult struct {
@@ -439,7 +437,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		TargetVM:   target.Name,
 		Base:       tf.info.Base,
 	}
-	rep.Timing.addInto(tf.timing)
+	rep.Timing.Add(tf.timing)
 
 	rep.Elapsed = tf.timing.Searcher + tf.timing.Parser + tf.timing.Checker
 
@@ -454,7 +452,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 	}
 
 	for _, pf := range peerFetches {
-		rep.Timing.addInto(pf.timing)
+		rep.Timing.Add(pf.timing)
 		if pf.err != nil {
 			rep.Pairs = append(rep.Pairs, PairResult{
 				PeerVM: pf.target.Name, Err: pf.err, ErrClass: faults.Classify(pf.err),

@@ -183,7 +183,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 		i := src.leaders[p]
 		f := src.fetch(c, module, i)
 		fetchCosts[i] += f.timing.Total()
-		rep.Timing.addInto(f.timing)
+		rep.Timing.Add(f.timing)
 		if err := f.err; err != nil {
 			c.releaseFetched(f)
 			return err
@@ -277,7 +277,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 		for _, p := range batch {
 			i, f := src.leaders[p], fetches[p]
 			fetchCosts[i] = f.timing.Total()
-			rep.Timing.addInto(f.timing)
+			rep.Timing.Add(f.timing)
 			if f.err != nil {
 				errs[i] = f.err
 				c.releaseFetched(f)

@@ -98,7 +98,7 @@ func (c *Checker) checkPairwise(module string, src *poolSource) *PoolReport {
 	rep := &PoolReport{ModuleName: module}
 	fetches, fetchElapsed := c.fetchStage(module, src)
 	for _, f := range fetches {
-		rep.Timing.addInto(f.timing)
+		rep.Timing.Add(f.timing)
 	}
 	mismatches, work, compareElapsed := c.comparePairwise(module, fetches)
 	rep.Timing.Checker += work

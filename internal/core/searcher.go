@@ -301,41 +301,15 @@ func (s *Searcher) copyMappedVerified(info *ModuleInfo) ([]byte, error) {
 //modown:pool fetch-buf get
 //modown:borrowed CopyMapped fetches forward zero-copy views
 func (s *Searcher) FetchModule(name string) (*ModuleInfo, []byte, time.Duration, error) {
-	attempts := s.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var total time.Duration
-	backoff := s.retry.BaseBackoff
-	for attempt := 1; ; attempt++ {
-		info, buf, cost, err := s.fetchOnce(name)
-		total += cost
-		if err == nil {
-			return info, buf, total, nil
+	var info *ModuleInfo
+	var buf []byte
+	cost, err := s.retryCosted(func() error {
+		var e error
+		if info, e = s.FindModule(name); e == nil {
+			buf, e = s.CopyModule(info)
 		}
-		if attempt >= attempts || faults.Classify(err) != faults.ClassTransient {
-			return nil, nil, total, err
-		}
-		total += backoff
-		backoff *= 2
-		if s.retry.MaxBackoff > 0 && backoff > s.retry.MaxBackoff {
-			backoff = s.retry.MaxBackoff
-		}
-	}
-}
-
-// fetchOnce is one find-and-copy attempt.
-//
-//modown:pool fetch-buf get
-//modown:borrowed CopyMapped fetches forward zero-copy views
-func (s *Searcher) fetchOnce(name string) (*ModuleInfo, []byte, time.Duration, error) {
-	before := s.h.Stats()
-	info, err := s.FindModule(name)
-	if err != nil {
-		return nil, nil, statsCost(s.h.Stats(), before), err
-	}
-	buf, err := s.CopyModule(info)
-	cost := statsCost(s.h.Stats(), before)
+		return e
+	})
 	if err != nil {
 		return nil, nil, cost, err
 	}
@@ -361,8 +335,8 @@ func statsCost(after, before vmi.Stats) time.Duration {
 
 // retryCosted runs one introspection operation under the searcher's retry
 // policy, measuring each attempt's cost from the handle's stats delta and
-// folding nominal backoff into the returned total — the same accounting
-// FetchModule performs for its combined find+copy attempts.
+// folding nominal backoff into the returned total. FetchModule runs its
+// combined find+copy attempts through it.
 func (s *Searcher) retryCosted(op func() error) (time.Duration, error) {
 	attempts := s.retry.MaxAttempts
 	if attempts < 1 {

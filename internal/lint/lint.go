@@ -80,34 +80,23 @@ type Analyzer interface {
 	Check(p *Package) []Finding
 }
 
-// ModuleAnalyzer is a whole-program rule: it sees every package of the
-// module at once, so it can reason across call boundaries (the moddet
-// determinism auditor). Module analyzers receive the run's suppression set
-// up front — interprocedural passes need to know a site is suppressed
-// *before* propagating facts from it, not merely filter the final report.
+// ModuleAnalyzer is a whole-program rule set: it sees every package of the
+// module at once, so it can reason across call boundaries (the moddet,
+// modsafe and modown suites). Module analyzers receive the run's
+// suppression set up front — interprocedural passes need to know a site is
+// suppressed *before* propagating facts from it, not merely filter the
+// final report.
 type ModuleAnalyzer interface {
-	// Name identifies the analyzer in -list output.
-	Name() string
-	// Doc is a one-line description for -list output.
-	Doc() string
 	// Rules lists every rule identifier the analyzer can report (one module
 	// analyzer may own several rules); ignore directives naming any of them
 	// are valid.
 	Rules() []string
-	// CheckModule inspects the whole package set and returns raw findings;
-	// RunAll applies suppression to whatever is returned, but the analyzer
-	// should consult sup for sites whose facts must not propagate.
-	CheckModule(pkgs []*Package, sup SuppressionSet) []Finding
-}
-
-// ModuleAnalyzerErrs is the optional error-aware face of a ModuleAnalyzer:
-// CheckModuleErrs returns findings together with the substrate's soft
-// load/type-check errors, so a broken package in one module cannot
-// silently shrink the findings of another. RunAllErrs uses it when the
-// analyzer implements it and falls back to CheckModule otherwise.
-type ModuleAnalyzerErrs interface {
-	ModuleAnalyzer
-	CheckModuleErrs(pkgs []*Package, sup SuppressionSet) ([]Finding, []error)
+	// CheckModule inspects the whole package set and returns raw findings
+	// plus the soft load/type-check errors it hit, so a broken package in
+	// one corner of the module cannot silently shrink the findings of
+	// another. RunAll applies suppression to whatever is returned, but the
+	// analyzer should consult sup for sites whose facts must not propagate.
+	CheckModule(pkgs []*Package, sup SuppressionSet) ([]Finding, []error)
 }
 
 // Analyzers returns the full rule set in reporting order.
@@ -247,8 +236,7 @@ func RunAll(pkgs []*Package, analyzers []Analyzer, modAnalyzers []ModuleAnalyzer
 // whole-program analysis. Findings and errors are distinct results — a
 // broken package in one corner of the module reduces coverage there but
 // must not mask findings elsewhere, and a non-empty error list means the
-// finding list is a lower bound, not a verdict. Errors are deduplicated
-// by message (several analyzers type-check the same substrate) and sorted.
+// finding list is a lower bound, not a verdict. Errors are sorted.
 func RunAllErrs(pkgs []*Package, analyzers []Analyzer, modAnalyzers []ModuleAnalyzer) ([]Finding, []error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -269,22 +257,10 @@ func RunAllErrs(pkgs []*Package, analyzers []Analyzer, modAnalyzers []ModuleAnal
 			}
 		}
 	}
-	seenErr := make(map[string]bool)
 	var errs []error
 	for _, m := range modAnalyzers {
-		var fs []Finding
-		if me, ok := m.(ModuleAnalyzerErrs); ok {
-			var es []error
-			fs, es = me.CheckModuleErrs(pkgs, sup)
-			for _, e := range es {
-				if e != nil && !seenErr[e.Error()] {
-					seenErr[e.Error()] = true
-					errs = append(errs, e)
-				}
-			}
-		} else {
-			fs = m.CheckModule(pkgs, sup)
-		}
+		fs, es := m.CheckModule(pkgs, sup)
+		errs = append(errs, es...)
 		for _, f := range fs {
 			if !sup.Suppressed(f.Pos.Filename, f.Pos.Line, f.Rule) {
 				out = append(out, f)

@@ -225,8 +225,8 @@ type emitStub struct{ fs []Finding }
 func (e emitStub) Name() string    { return "emit" }
 func (e emitStub) Doc() string     { return "test emitter" }
 func (e emitStub) Rules() []string { return []string{"emit"} }
-func (e emitStub) CheckModule([]*Package, SuppressionSet) []Finding {
-	return e.fs
+func (e emitStub) CheckModule([]*Package, SuppressionSet) ([]Finding, []error) {
+	return e.fs, nil
 }
 
 // TestRunAllOrdersAndDedupes pins the merged stream's contract: findings are
@@ -277,4 +277,6 @@ func (downstreamRules) Doc() string {
 func (downstreamRules) Rules() []string {
 	return []string{"moddet", "maporder", "lockflow", "lockorder", "releasetrack", "chargeflow", "modsafe"}
 }
-func (downstreamRules) CheckModule([]*Package, SuppressionSet) []Finding { return nil }
+func (downstreamRules) CheckModule([]*Package, SuppressionSet) ([]Finding, []error) {
+	return nil, nil
+}

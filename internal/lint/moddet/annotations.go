@@ -4,83 +4,10 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/modgraph"
 )
-
-// sinkDirective is the annotation that declares a determinism-critical
-// function: anything transitively reachable from its body must be free of
-// nondeterminism roots. It goes in the function's doc comment:
-//
-//	//moddet:sink trace export must stay byte-identical across runs
-//	func (t *Tracer) WriteChromeJSON(w io.Writer) error { ... }
-const sinkDirective = "moddet:sink"
-
-// sink is one annotated determinism-critical function.
-type sink struct {
-	obj    *types.Func
-	decl   *ast.FuncDecl
-	pkg    *lint.Package
-	reason string
-}
-
-// collectSinks scans every function doc comment for //moddet:sink
-// directives. Directives attached to declarations the type-checker could
-// not resolve are reported rather than silently dropped.
-func collectSinks(m *modgraph.Module) ([]*sink, []lint.Finding) {
-	var sinks []*sink
-	var bad []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				reason, found := sinkReason(fd.Doc)
-				if !found {
-					continue
-				}
-				obj, ok := m.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					bad = append(bad, lint.Finding{
-						Pos:  p.Fset.Position(fd.Pos()),
-						Rule: "moddet",
-						Msg:  "//moddet:sink directive on a declaration the type-checker could not resolve",
-					})
-					continue
-				}
-				if fd.Body == nil {
-					bad = append(bad, lint.Finding{
-						Pos:  p.Fset.Position(fd.Pos()),
-						Rule: "moddet",
-						Msg:  "//moddet:sink directive on a bodyless declaration has nothing to audit",
-					})
-					continue
-				}
-				sinks = append(sinks, &sink{obj: obj, decl: fd, pkg: p, reason: reason})
-			}
-		}
-	}
-	return sinks, bad
-}
-
-// sinkReason extracts the trailing free-text reason from a doc comment's
-// //moddet:sink line.
-func sinkReason(doc *ast.CommentGroup) (string, bool) {
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, ok := strings.CutPrefix(text, sinkDirective); ok {
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
-}
 
 // guardRE matches the field annotation "// guarded by <mutexField>" in a
 // struct field's trailing or doc comment.
@@ -103,61 +30,56 @@ type guardedField struct {
 func collectGuards(m *modgraph.Module) ([]*guardedField, []lint.Finding) {
 	var guards []*guardedField
 	var bad []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
+	m.EachFile(func(p *lint.Package, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
 			}
-			ast.Inspect(sf.AST, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				// Index the struct's named fields for mutex resolution.
-				fieldVar := make(map[string]*types.Var)
-				for _, f := range st.Fields.List {
-					for _, name := range f.Names {
-						if v, ok := m.Info.Defs[name].(*types.Var); ok {
-							fieldVar[name.Name] = v
-						}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			// Index the struct's named fields for mutex resolution.
+			fieldVar := make(map[string]*types.Var)
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					if v, ok := m.Info.Defs[name].(*types.Var); ok {
+						fieldVar[name.Name] = v
 					}
 				}
-				for _, f := range st.Fields.List {
-					mu, ok := guardAnnotation(f)
+			}
+			for _, f := range st.Fields.List {
+				mu, ok := guardAnnotation(f)
+				if !ok {
+					continue
+				}
+				mutex := fieldVar[mu]
+				if mutex == nil {
+					bad = append(bad, lint.Finding{
+						Pos:  p.Fset.Position(f.Pos()),
+						Rule: "lockflow",
+						Msg:  "// guarded by " + mu + " names no field of struct " + ts.Name.Name,
+					})
+					continue
+				}
+				for _, name := range f.Names {
+					v, ok := m.Info.Defs[name].(*types.Var)
 					if !ok {
 						continue
 					}
-					mutex := fieldVar[mu]
-					if mutex == nil {
-						bad = append(bad, lint.Finding{
-							Pos:  p.Fset.Position(f.Pos()),
-							Rule: "lockflow",
-							Msg:  "// guarded by " + mu + " names no field of struct " + ts.Name.Name,
-						})
-						continue
-					}
-					for _, name := range f.Names {
-						v, ok := m.Info.Defs[name].(*types.Var)
-						if !ok {
-							continue
-						}
-						guards = append(guards, &guardedField{
-							structName: ts.Name.Name,
-							pkg:        p,
-							field:      v,
-							mutexName:  mu,
-							mutex:      mutex,
-						})
-					}
+					guards = append(guards, &guardedField{
+						structName: ts.Name.Name,
+						pkg:        p,
+						field:      v,
+						mutexName:  mu,
+						mutex:      mutex,
+					})
 				}
-				return true
-			})
-		}
-	}
+			}
+			return true
+		})
+	})
 	return guards, bad
 }
 

@@ -3,9 +3,10 @@
 // reports from one seed — is a *global* property: a time.Now three calls
 // below a report writer breaks it just as surely as one inside. The
 // per-package rules in internal/lint cannot see across call boundaries, so
-// moddet runs on the shared whole-program substrate (internal/lint/modgraph:
-// a conservative call graph over every package in the module, go/ast +
-// go/types only, no x/tools) and checks three things:
+// moddet is a modgraph.Tool: its passes run inside a modgraph.Suite over
+// the substrate every whole-program tool shares — one type-check of the
+// module, one conservative call graph, one directive grammar — and check
+// three things:
 //
 //   - moddet: impurity taint seeded at nondeterminism roots — host-clock
 //     reads outside hosttime.go, package-level math/rand, os.Getenv and
@@ -23,7 +24,9 @@
 // Findings are suppressed like every modlint rule, with
 // //modlint:ignore <rule> <reason>; suppressing a maporder site also stops
 // it from seeding taint, so an annotated site never resurfaces through the
-// sink report. See docs/static-analysis.md for the full model.
+// sink report. A malformed //moddet: directive — a misspelled verb, or a
+// sink on a bodyless or unresolved declaration — is a finding under the
+// "moddet" rule. See docs/static-analysis.md for the full model.
 package moddet
 
 import (
@@ -33,72 +36,44 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the moddet module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Tool is moddet's directive grammar and passes. The taint pass owns both
+// moddet and maporder: unsuppressed maporder sites seed its taint.
+var Tool = &modgraph.Tool{
+	Name: "moddet",
+	Doc:  "whole-program determinism audit: nondeterminism roots must not reach //moddet:sink functions; map order must not escape unsorted; // guarded by holds across calls",
+	Verbs: map[string]modgraph.Verb{
+		"sink": {Body: true},
+	},
+	Passes: []modgraph.Pass{
+		{Rules: []string{"moddet", "maporder"}, Graph: true, Run: taintPass},
+		{Rules: []string{"lockflow"}, Graph: true, Run: func(p *modgraph.Program) []lint.Finding {
+			guards, out := collectGuards(p.Module)
+			return append(out, lockFlow(p.Graph, guards)...)
+		}},
+	},
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see ReadModulePath). Import paths under it
-// resolve to the loaded package set; everything else is treated as external.
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
+// New returns the moddet suite for a module with the given module path
+// (the `module` line of its go.mod — see ReadModulePath).
+func New(modulePath string) *modgraph.Suite { return modgraph.NewSuite(modulePath, Tool) }
 
 // ReadModulePath extracts the module path from root/go.mod ("" when absent
 // or unparsable); it forwards to the shared substrate.
 func ReadModulePath(root string) string { return modgraph.ReadModulePath(root) }
 
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "moddet" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program determinism audit: nondeterminism roots must not reach //moddet:sink functions; map order must not escape unsorted; // guarded by holds across calls"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string { return []string{"moddet", "maporder", "lockflow"} }
-
-// CheckModule type-checks the package set and runs the three passes. It
-// degrades gracefully on partial type information (fuzzed or broken input):
-// whatever could not be resolved is simply not analyzed.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
-	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
+// taintPass reports every maporder site, then seeds taint from the
+// unsuppressed ones (a deliberately annotated site must not resurface via
+// a sink) and from the direct nondeterminism roots.
+func taintPass(p *modgraph.Program) []lint.Finding {
 	var out []lint.Finding
-	sinks, bad := collectSinks(m)
-	out = append(out, bad...)
-	guards, bad := collectGuards(m)
-	out = append(out, bad...)
-
-	g := modgraph.Build(m)
-	roots := collectRoots(g)
-
-	// maporder: report every site, and seed taint from the unsuppressed
-	// ones (a deliberately annotated site must not resurface via a sink).
 	mapRoots := make(map[*types.Func][]root)
-	for _, s := range mapOrder(m) {
+	for _, s := range mapOrder(p.Module) {
 		pos := s.pkg.Fset.Position(s.pos)
 		out = append(out, lint.Finding{Pos: pos, Rule: "maporder", Msg: s.msg})
-		if sup.Suppressed(pos.Filename, pos.Line, "maporder") || s.fn == nil {
+		if p.Sup.Suppressed(pos.Filename, pos.Line, "maporder") || s.fn == nil {
 			continue
 		}
 		mapRoots[s.fn] = append(mapRoots[s.fn], root{pos: s.pos, desc: "map iteration order escape"})
 	}
-
-	out = append(out, taintFindings(g, sinks, roots, mapRoots)...)
-	out = append(out, lockFlow(g, guards)...)
-	return out, m.Errs
+	return append(out, taintFindings(p.Graph, p.Directives("moddet"), collectRoots(p.Graph), mapRoots)...)
 }

@@ -159,6 +159,52 @@ func TestTaintPathRendering(t *testing.T) {
 	t.Fatal("no host-clock taint finding in fixture output")
 }
 
+const misspeltDirectivesSrc = `package misspelt
+
+//moddet:sinkhole not a sink
+func A() {}
+
+//moddet:snik
+func B() {}
+
+//moddet:sink bodyless
+func C()
+
+//moddet:sink the one real sink
+func D() {}
+`
+
+// TestMisspeltDirectives checks that //moddet: directives go through the
+// shared grammar: a misspelled verb is reported, not accepted as a sink by
+// prefix or silently ignored, and a bodyless sink is reported at its
+// comment like every other malformed directive.
+func TestMisspeltDirectives(t *testing.T) {
+	fset := token.NewFileSet()
+	af, err := parser.ParseFile(fset, "misspelt.go", misspeltDirectivesSrc,
+		parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &lint.Package{
+		Name:  "misspelt",
+		Dir:   "misspelt",
+		Fset:  fset,
+		Files: []*lint.SourceFile{{Path: "misspelt.go", AST: af}},
+	}
+	var got []string
+	for _, f := range lint.RunAll([]*lint.Package{p}, nil, []lint.ModuleAnalyzer{moddet.New("misspelt")}) {
+		got = append(got, f.String())
+	}
+	want := []string{
+		`misspelt.go:3: [moddet] unknown //moddet: directive "sinkhole"`,
+		`misspelt.go:6: [moddet] unknown //moddet: directive "snik"`,
+		`misspelt.go:9: [moddet] //moddet:sink directive on a bodyless declaration has nothing to audit`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestRepoIsCleanModdet runs the whole-program audit over the real module:
 // the annotated sinks and guarded fields must stay clean. A legitimate
 // exception needs a //modlint:ignore directive with a reason.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,7 +32,7 @@ type taintFinding struct {
 
 // taintFindings runs one BFS per sink over the call graph and merges the
 // results per root site.
-func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNode][]root, mapRoots map[*types.Func][]root) []lint.Finding {
+func taintFindings(g *modgraph.Graph, sinks []*modgraph.Directive, roots map[*modgraph.FuncNode][]root, mapRoots map[*types.Func][]root) []lint.Finding {
 	byPos := make(map[token.Position]*taintFinding)
 	var order []token.Position
 
@@ -43,7 +44,7 @@ func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNod
 	}
 
 	for _, s := range sinks {
-		start, ok := g.Node[s.obj]
+		start, ok := g.Node[s.Obj]
 		if !ok {
 			continue
 		}
@@ -58,12 +59,12 @@ func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNod
 				pos := n.Pkg.Fset.Position(r.pos)
 				tf, seen := byPos[pos]
 				if !seen {
-					tf = &taintFinding{pos: pos, desc: r.desc, path: renderPath(g, parent, n)}
+					tf = &taintFinding{pos: pos, desc: r.desc, path: g.CallPath(parent, n)}
 					byPos[pos] = tf
 					order = append(order, pos)
 				}
-				name := modgraph.ShortFuncName(g.Mod.Path, s.obj)
-				if !containsString(tf.sinks, name) {
+				name := modgraph.ShortFuncName(g.Mod.Path, s.Obj)
+				if !slices.Contains(tf.sinks, name) {
 					tf.sinks = append(tf.sinks, name)
 				}
 			}
@@ -92,27 +93,4 @@ func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNod
 		out = append(out, lint.Finding{Pos: pos, Rule: "moddet", Msg: msg})
 	}
 	return out
-}
-
-// renderPath walks the BFS parent chain from n back to the sink and renders
-// the sink→n call chain.
-func renderPath(g *modgraph.Graph, parent map[*modgraph.FuncNode]*modgraph.FuncNode, n *modgraph.FuncNode) []string {
-	var rev []string
-	for cur := n; cur != nil; cur = parent[cur] {
-		rev = append(rev, modgraph.ShortFuncName(g.Mod.Path, cur.Obj))
-	}
-	out := make([]string, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -4,8 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"modchecker/internal/lint"
+	"slices"
 )
 
 // FuncNode is one module function (or method) in the conservative
@@ -14,9 +13,7 @@ import (
 // the dominant patterns (closures handed to worker pools, deferred funcs,
 // goroutine bodies) without tracking function values through the heap.
 type FuncNode struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *lint.Package
+	*FuncDecl // Obj is never nil and Decl always has a body
 	// Callees are the functions this node may invoke, in source order.
 	// External (non-module) callees are included; clients filter by whether
 	// Graph.Node resolves them.
@@ -55,25 +52,13 @@ func Build(m *Module) *Graph {
 	}
 	// Pass 1: declare nodes, so edge resolution can distinguish module
 	// functions from externals.
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := m.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue // type-checking failed for this decl
-				}
-				n := &FuncNode{Obj: obj, Decl: fd, Pkg: p}
-				g.Funcs = append(g.Funcs, n)
-				g.Node[obj] = n
-			}
+	for _, d := range m.Bodies() {
+		if d.Obj == nil {
+			continue // type-checking failed for this decl
 		}
+		n := &FuncNode{FuncDecl: d}
+		g.Funcs = append(g.Funcs, n)
+		g.Node[d.Obj] = n
 	}
 
 	impls := newImplIndex(m)
@@ -125,6 +110,17 @@ func (g *Graph) scanBody(n *FuncNode, impls *implIndex) {
 		n.Callees = append(n.Callees, Edge{Callee: fn, Pos: call.Pos()})
 		return true
 	})
+}
+
+// CallPath renders the call chain from the root of a BFS parent map down to
+// n ("pkg.Root -> pkg.helper -> pkg.n").
+func (g *Graph) CallPath(parent map[*FuncNode]*FuncNode, n *FuncNode) []string {
+	var rev []string
+	for cur := n; cur != nil; cur = parent[cur] {
+		rev = append(rev, ShortFuncName(g.Mod.Path, cur.Obj))
+	}
+	slices.Reverse(rev)
+	return rev
 }
 
 // IsInterfaceMethod reports whether fn is declared on an interface type.

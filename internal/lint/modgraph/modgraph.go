@@ -1,7 +1,9 @@
-// Package modgraph is the whole-program analysis substrate shared by
-// modlint's module analyzers (moddet, modsafe): a go/types type-check of
-// every non-test file in the module plus a conservative call graph over the
-// result — stdlib go/ast + go/types only, no x/tools.
+// Package modgraph is the whole-program analysis substrate of modlint's
+// module analyzers — moddet, modsafe and modown — stdlib go/ast + go/types
+// only, no x/tools. One Suite run type-checks every non-test file of the
+// module once, parses every tool's //<tool>:<verb> doc-comment directives
+// in one walk under one grammar, builds the conservative call graph at most
+// once, and hands that shared Program to each tool's passes.
 //
 // The substrate never fails hard. Packages that cannot be type-checked
 // contribute soft errors and partial (or no) type information, and every
@@ -36,8 +38,40 @@ type Module struct {
 	// when type-checking failed outright for that package).
 	TypesOf map[*lint.Package]*types.Package
 	Info    *types.Info
+	// Decls lists every function declaration of the non-test files in
+	// load order (package, file, decl), bodyless ones included.
+	Decls []*FuncDecl
 	// Errs collects soft type errors; analysis proceeds on partial info.
 	Errs []error
+}
+
+// FuncDecl is one function or method declaration of the module.
+type FuncDecl struct {
+	Pkg  *lint.Package
+	Decl *ast.FuncDecl
+	// Obj is nil when type-checking could not resolve the declaration.
+	Obj *types.Func
+}
+
+// Bodies returns the declarations that have a body, in load order: the
+// iteration every intraprocedural pass performs.
+func (m *Module) Bodies() []*FuncDecl {
+	out := make([]*FuncDecl, 0, len(m.Decls))
+	for _, d := range m.Decls {
+		if d.Decl.Body != nil {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// EachFile calls f for every non-test file of the module in load order.
+func (m *Module) EachFile(f func(p *lint.Package, file *ast.File)) {
+	for _, p := range m.Pkgs {
+		for _, file := range NonTestFiles(p) {
+			f(p, file)
+		}
+	}
 }
 
 // ReadModulePath extracts the module path from root/go.mod ("" when absent
@@ -235,6 +269,14 @@ func TypeCheck(modPath string, pkgs []*lint.Package) *Module {
 			imp.byPath[path] = tp
 		}
 	}
+	m.EachFile(func(p *lint.Package, f *ast.File) {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				obj, _ := m.Info.Defs[fd.Name].(*types.Func)
+				m.Decls = append(m.Decls, &FuncDecl{Pkg: p, Decl: fd, Obj: obj})
+			}
+		}
+	})
 	return m
 }
 

@@ -41,19 +41,8 @@ func aliasFree(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet) []
 		return nil
 	}
 	var out []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, checkBorrows(m, ann, sup, p, fd)...)
-			}
-		}
+	for _, d := range m.Bodies() {
+		out = append(out, checkBorrows(m, ann, sup, d)...)
 	}
 	return out
 }
@@ -70,12 +59,10 @@ type afWalker struct {
 	litDepth int
 }
 
-func checkBorrows(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet, p *lint.Package, fd *ast.FuncDecl) []lint.Finding {
-	w := &afWalker{m: m, ann: ann, sup: sup, pkg: p, fd: fd, borrowed: make(map[types.Object]borrow)}
-	if fn, _ := m.Info.Defs[fd.Name].(*types.Func); fn != nil {
-		w.fnIsBor = ann.borrowed[fn] != nil
-	}
-	w.walk(fd.Body)
+func checkBorrows(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet, d *modgraph.FuncDecl) []lint.Finding {
+	w := &afWalker{m: m, ann: ann, sup: sup, pkg: d.Pkg, fd: d.Decl, borrowed: make(map[types.Object]borrow)}
+	w.fnIsBor = ann.borrowed[d.Obj] != nil
+	w.walk(d.Decl.Body)
 	return w.findings
 }
 
@@ -123,8 +110,8 @@ func (w *afWalker) borrowOf(e ast.Expr) (borrow, bool) {
 			if w.sup.Suppressed(pos.Filename, pos.Line, "aliasfree") {
 				return borrow{}, false // a suppressed producer site propagates no facts
 			}
-			_, dual := w.ann.poolGet[d.fn]
-			return borrow{src: d.fn.Name(), line: pos.Line, dual: dual}, true
+			_, dual := w.ann.poolGet[d.Obj]
+			return borrow{src: d.Obj.Name(), line: pos.Line, dual: dual}, true
 		}
 	}
 	return borrow{}, false
@@ -220,7 +207,7 @@ func (w *afWalker) call(call *ast.CallExpr) {
 	if d := calleeDirective(w.m, w.ann.poolPut, call); d != nil {
 		for _, a := range call.Args {
 			if b, bor := w.borrowOf(a); bor && !b.dual {
-				w.report(a.Pos(), fmt.Sprintf("borrowed buffer from %s (line %d) recycled into the %s pool; the pool would hand guest-owned memory to the next caller", b.src, b.line, d.kind))
+				w.report(a.Pos(), fmt.Sprintf("borrowed buffer from %s (line %d) recycled into the %s pool; the pool would hand guest-owned memory to the next caller", b.src, b.line, d.Kind))
 			}
 		}
 		return

@@ -38,14 +38,14 @@ type atomicUse struct {
 }
 
 // atomicField runs the module-wide consistency and alignment checks.
-func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
+func atomicField(m *modgraph.Module) []lint.Finding {
 	uses := make(map[types.Object][]atomicUse)
 	strukt := make(map[types.Object]*types.Struct) // owning struct for fields
 	skip := make(map[ast.Node]bool)                // operands inside atomic calls
 	var order []types.Object
 
-	eachFunc(m, func(p *lint.Package, fd *ast.FuncDecl) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+	for _, d := range m.Bodies() {
+		ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -66,7 +66,7 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 				order = append(order, obj)
 			}
 			uses[obj] = append(uses[obj], atomicUse{
-				pos:     p.Fset.Position(call.Pos()),
+				pos:     d.Pkg.Fset.Position(call.Pos()),
 				fn:      fn.Name(),
 				width64: strings.Contains(fn.Name(), "64"),
 			})
@@ -75,7 +75,7 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 			}
 			return true
 		})
-	})
+	}
 	if len(uses) == 0 {
 		return nil
 	}
@@ -92,8 +92,8 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 	var out []lint.Finding
 
 	// Pass 2: plain accesses to tracked locations.
-	eachFunc(m, func(p *lint.Package, fd *ast.FuncDecl) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
+	for _, d := range m.Bodies() {
+		ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
 			if skip[n] {
 				return false
 			}
@@ -108,10 +108,10 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 				if !tracked {
 					return true
 				}
-				if modgraph.LocalTo(m, n.X, fd) {
+				if modgraph.LocalTo(m, n.X, d.Decl) {
 					return true // construction before publication
 				}
-				out = append(out, plainAccessFinding(p, n.Pos(), obj, sites))
+				out = append(out, plainAccessFinding(d.Pkg, n.Pos(), obj, sites))
 				return true
 			case *ast.Ident:
 				obj := m.Info.Uses[n]
@@ -122,11 +122,11 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 				if v, ok := obj.(*types.Var); !ok || v.IsField() {
 					return true // field idents are covered via their selector
 				}
-				out = append(out, plainAccessFinding(p, n.Pos(), obj, sites))
+				out = append(out, plainAccessFinding(d.Pkg, n.Pos(), obj, sites))
 			}
 			return true
 		})
-	})
+	}
 
 	// Alignment: 64-bit function-style atomic fields under 32-bit layout.
 	sizes32 := types.SizesFor("gc", "386")
@@ -164,7 +164,6 @@ func atomicField(m *modgraph.Module, sup lint.SuppressionSet) []lint.Finding {
 				obj.Name(), off),
 		})
 	}
-	_ = sup
 	return out
 }
 
@@ -213,22 +212,5 @@ func plainAccessFinding(p *lint.Package, pos token.Pos, obj types.Object, sites 
 		Rule: "atomicfield",
 		Msg: fmt.Sprintf("%s is accessed plainly here but atomically at %s:%d (atomic.%s); every access to an atomic location must go through sync/atomic",
 			obj.Name(), modgraph.BaseName(first.pos.Filename), first.pos.Line, first.fn),
-	}
-}
-
-// eachFunc applies f to every function declaration with a body in the
-// module's non-test files.
-func eachFunc(m *modgraph.Module, f func(*lint.Package, *ast.FuncDecl)) {
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					f(p, fd)
-				}
-			}
-		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package modown is modlint's whole-program ownership auditor — the third
-// sibling on the internal/lint/modgraph substrate, after moddet
-// (determinism) and modsafe (soundness). The PR 8/9 hot path leans on
-// recycled buffer pools, lock-free atomic state, and zero-copy CoW
-// windows; each buys performance by sharing memory, and each turns a
-// missed hand-off into a silent integrity misverdict rather than a crash.
-// modown checks the three disciplines statically:
+// modgraph.Tool, after moddet (determinism) and modsafe (soundness), whose
+// passes share one type-check and one directive grammar with its siblings
+// inside a modgraph.Suite. The sweep hot path leans on recycled buffer
+// pools, lock-free atomic state, and zero-copy CoW windows; each buys
+// performance by sharing memory, and each turns a missed hand-off into a
+// silent integrity misverdict rather than a crash. modown checks the three
+// disciplines statically:
 //
 //   - poolflow: values handed out by //modown:pool <kind> get accessors
 //     (or raw sync.Pool.Get) are owned until recycled exactly once —
@@ -30,49 +31,27 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the modown module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Tool is modown's directive grammar and passes.
+var Tool = &modgraph.Tool{
+	Name:  "modown",
+	Doc:   "whole-program ownership audit: //modown:pool values recycled exactly once; sync/atomic locations accessed atomically everywhere; //modown:borrowed zero-copy buffers never mutated or recycled",
+	Verbs: verbs,
+	Passes: []modgraph.Pass{
+		{Rules: []string{"poolflow"}, Run: func(p *modgraph.Program) []lint.Finding {
+			return poolFlow(p.Module, annotationsOf(p), p.Sup)
+		}},
+		{Rules: []string{"atomicfield"}, Run: func(p *modgraph.Program) []lint.Finding {
+			return atomicField(p.Module)
+		}},
+		{Rules: []string{"aliasfree"}, Run: func(p *modgraph.Program) []lint.Finding {
+			return aliasFree(p.Module, annotationsOf(p), p.Sup)
+		}},
+		{Rules: []string{"modown"}, Run: func(p *modgraph.Program) []lint.Finding {
+			return pairingCheck(p.Directives("modown"))
+		}},
+	},
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see modgraph.ReadModulePath).
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
-
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "modown" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program ownership audit: //modown:pool values recycled exactly once; sync/atomic locations accessed atomically everywhere; //modown:borrowed zero-copy buffers never mutated or recycled"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string {
-	return []string{"poolflow", "atomicfield", "aliasfree", "modown"}
-}
-
-// CheckModule type-checks the package set and runs the three passes,
-// degrading gracefully on partial type information.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
-	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
-	ann, out := collectDirectives(m)
-	out = append(out, poolFlow(m, ann, sup)...)
-	out = append(out, atomicField(m, sup)...)
-	out = append(out, aliasFree(m, ann, sup)...)
-	return out, m.Errs
-}
+// New returns the modown suite for a module with the given module path
+// (the `module` line of its go.mod — see modgraph.ReadModulePath).
+func New(modulePath string) *modgraph.Suite { return modgraph.NewSuite(modulePath, Tool) }

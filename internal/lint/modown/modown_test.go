@@ -243,6 +243,66 @@ func f() {
 	}
 }
 
+// TestClosureBranchKeepsBinding pins the retry-wrapper shape: a pooled
+// value bound to a captured variable after a branch inside a synchronously
+// called closure still belongs to that variable once the closure returns,
+// so returning it under a get annotation discharges it; dropping it
+// afterwards is still a leak.
+func TestClosureBranchKeepsBinding(t *testing.T) {
+	src := `package closure
+
+import "sync"
+
+var p = sync.Pool{New: func() any { b := make([]byte, 8); return &b }}
+
+//modown:pool buf get
+func getBuf() []byte { bp := p.Get().(*[]byte); return *bp }
+
+//modown:pool buf put
+func putBuf(b []byte) { p.Put(&b) }
+
+func retry(op func() error) error { return op() }
+
+func find() error { return nil }
+
+//modown:pool buf get
+func fetch() []byte {
+	var buf []byte
+	_ = retry(func() error {
+		if err := find(); err != nil {
+			return err
+		}
+		buf = getBuf()
+		return nil
+	})
+	return buf
+}
+
+func drop() {
+	var buf []byte
+	_ = retry(func() error {
+		if err := find(); err != nil {
+			return err
+		}
+		buf = getBuf()
+		return nil
+	})
+	_ = len(buf)
+}
+`
+	var lines []int
+	for _, f := range runInline(t, "closure", src) {
+		if f.Rule != "poolflow" || !strings.Contains(f.Msg, "pool leak") {
+			t.Errorf("unexpected finding: %s", f)
+			continue
+		}
+		lines = append(lines, f.Pos.Line)
+	}
+	if len(lines) != 1 || lines[0] != 36 {
+		t.Errorf("pool leaks at lines %v, want exactly the one in drop (line 36)", lines)
+	}
+}
+
 // runInline type-checks a single synthetic source file through the full
 // RunAll pipeline, as the interplay tests in moddet and modsafe do.
 func runInline(t *testing.T, name, src string) []lint.Finding {

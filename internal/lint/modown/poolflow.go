@@ -95,19 +95,8 @@ func mergePaths(a, b pathState) pathState {
 // poolFlow runs the ownership pass over every function in the module.
 func poolFlow(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet) []lint.Finding {
 	var out []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, checkFunc(m, ann, sup, p, fd)...)
-			}
-		}
+	for _, d := range m.Bodies() {
+		out = append(out, checkFunc(m, ann, sup, d)...)
 	}
 	return out
 }
@@ -133,25 +122,23 @@ type pfWalker struct {
 	litDepth      int             // >0 while walking a function literal body
 }
 
-func checkFunc(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet, p *lint.Package, fd *ast.FuncDecl) []lint.Finding {
+func checkFunc(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet, d *modgraph.FuncDecl) []lint.Finding {
 	w := &pfWalker{
-		m: m, ann: ann, sup: sup, pkg: p, fd: fd,
-		accessor:      ann.annotated[fd],
+		m: m, ann: ann, sup: sup, pkg: d.Pkg, fd: d.Decl,
+		accessor:      ann.annotated[d.Decl],
 		getKinds:      make(map[string]bool),
 		transferKinds: make(map[string]bool),
 		obs:           make(map[token.Pos]*obligation),
 		seen:          make(map[string]bool),
 	}
-	if fn, _ := m.Info.Defs[fd.Name].(*types.Func); fn != nil {
-		if d := ann.poolGet[fn]; d != nil {
-			w.getKinds[d.kind] = true
-		}
-		if d := ann.transfer[fn]; d != nil {
-			w.transferKinds[d.kind] = true
-		}
+	if g := ann.poolGet[d.Obj]; g != nil {
+		w.getKinds[g.Kind] = true
+	}
+	if t := ann.transfer[d.Obj]; t != nil {
+		w.transferKinds[t.Kind] = true
 	}
 	st := make(pathState)
-	w.stmts(fd.Body.List, st)
+	w.stmts(d.Decl.Body.List, st)
 	for _, lit := range w.deferredLits {
 		w.postDischarge(lit)
 	}
@@ -182,7 +169,7 @@ func (w *pfWalker) line(pos token.Pos) int { return w.pkg.Fset.Position(pos).Lin
 
 // calleeDirective resolves call's callee through the annotation maps
 // (direct or via a module interface method).
-func calleeDirective(m *modgraph.Module, dm map[*types.Func]*directive, call *ast.CallExpr) *directive {
+func calleeDirective(m *modgraph.Module, dm map[*types.Func]*modgraph.Directive, call *ast.CallExpr) *modgraph.Directive {
 	fn := m.CalleeOf(call)
 	if fn == nil {
 		return nil
@@ -227,7 +214,7 @@ func (w *pfWalker) rawPool(call *ast.CallExpr) (types.Object, string) {
 // getCall classifies a call as a pooled-value producer.
 func (w *pfWalker) getCall(call *ast.CallExpr) (poolKind, string, bool) {
 	if d := calleeDirective(w.m, w.ann.poolGet, call); d != nil {
-		return poolKind{name: d.kind}, d.fn.Name(), true
+		return poolKind{name: d.Kind}, d.Obj.Name(), true
 	}
 	if w.accessor {
 		return poolKind{}, "", false
@@ -241,7 +228,7 @@ func (w *pfWalker) getCall(call *ast.CallExpr) (poolKind, string, bool) {
 // putCall classifies a call as a pooled-value recycler.
 func (w *pfWalker) putCall(call *ast.CallExpr) (poolKind, bool) {
 	if d := calleeDirective(w.m, w.ann.poolPut, call); d != nil {
-		return poolKind{name: d.kind}, true
+		return poolKind{name: d.Kind}, true
 	}
 	if w.accessor {
 		return poolKind{}, false
@@ -853,7 +840,7 @@ func (w *pfWalker) expr(e ast.Expr, st pathState) {
 			return
 		}
 		if d := calleeDirective(w.m, w.ann.transfer, t); d != nil {
-			w.transferCall(t, d.kind, st)
+			w.transferCall(t, d.Kind, st)
 			return
 		}
 		if kind, src, ok := w.getCall(t); ok {
@@ -916,8 +903,14 @@ func (w *pfWalker) argUses(call *ast.CallExpr, st pathState) {
 
 func (w *pfWalker) stmtsInLit(list []ast.Stmt, st pathState) {
 	w.litDepth++
-	w.stmts(list, st)
+	end, _ := w.stmts(list, st)
 	w.litDepth--
+	// Branches inside the body walk clones; carry the state the body ends
+	// in back out, so a captured variable bound after a branch keeps its
+	// obligation once the (synchronously called) closure returns.
+	for obj, b := range end {
+		st[obj] = b
+	}
 }
 
 // put processes one recycling call.
@@ -1037,7 +1030,7 @@ func (w *pfWalker) deferCall(call *ast.CallExpr, st pathState) {
 		return
 	}
 	if d := calleeDirective(w.m, w.ann.transfer, call); d != nil {
-		w.transferCall(call, d.kind, st)
+		w.transferCall(call, d.Kind, st)
 		return
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
@@ -1112,7 +1105,7 @@ func (w *pfWalker) postDischarge(lit *ast.FuncLit) {
 			kind, isPut := w.putCall(n)
 			var transferKind string
 			if d := calleeDirective(w.m, w.ann.transfer, n); d != nil {
-				transferKind = d.kind
+				transferKind = d.Kind
 			}
 			if !isPut && transferKind == "" {
 				return true

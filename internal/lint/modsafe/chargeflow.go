@@ -53,15 +53,15 @@ func chargeFlow(g *modgraph.Graph, ann *annotations, sup lint.SuppressionSet) []
 	var out []lint.Finding
 	seen := make(map[token.Pos]bool) // one finding per spends call site
 	for _, rootDir := range ann.charged {
-		rootPos := rootDir.pkg.Fset.Position(rootDir.pos)
+		rootPos := rootDir.Pkg.Fset.Position(rootDir.Pos)
 		if sup.Suppressed(rootPos.Filename, rootPos.Line, "chargeflow") {
 			continue
 		}
-		start, ok := g.Node[rootDir.fn]
+		start, ok := g.Node[rootDir.Obj]
 		if !ok {
 			continue
 		}
-		rootName := modgraph.ShortFuncName(m.Path, rootDir.fn)
+		rootName := modgraph.ShortFuncName(m.Path, rootDir.Obj)
 
 		parent := map[*modgraph.FuncNode]*modgraph.FuncNode{start: nil}
 		queue := []*modgraph.FuncNode{start}
@@ -84,7 +84,7 @@ func chargeFlow(g *modgraph.Graph, ann *annotations, sup lint.SuppressionSet) []
 							modgraph.ShortFuncName(m.Path, n.Obj),
 							modgraph.ShortFuncName(m.Path, e.Callee),
 							rootName,
-							strings.Join(renderChain(g, parent, n), " -> ")),
+							strings.Join(g.CallPath(parent, n), " -> ")),
 					})
 					continue
 				}
@@ -99,20 +99,6 @@ func chargeFlow(g *modgraph.Graph, ann *annotations, sup lint.SuppressionSet) []
 				queue = append(queue, cn)
 			}
 		}
-	}
-	return out
-}
-
-// renderChain walks the BFS parent chain back to the root and renders the
-// root→n call path.
-func renderChain(g *modgraph.Graph, parent map[*modgraph.FuncNode]*modgraph.FuncNode, n *modgraph.FuncNode) []string {
-	var rev []string
-	for cur := n; cur != nil; cur = parent[cur] {
-		rev = append(rev, modgraph.ShortFuncName(g.Mod.Path, cur.Obj))
-	}
-	out := make([]string, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
 	}
 	return out
 }

@@ -148,39 +148,34 @@ type lockCall struct {
 // package-level variable in the module and labels it.
 func collectLocks(m *modgraph.Module) map[*types.Var]*lockInfo {
 	locks := make(map[*types.Var]*lockInfo)
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			ast.Inspect(sf.AST, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					st, ok := n.Type.(*ast.StructType)
-					if !ok {
-						return true
-					}
-					for _, f := range st.Fields.List {
-						for _, name := range f.Names {
-							v, ok := m.Info.Defs[name].(*types.Var)
-							if ok && isMutexType(v.Type()) {
-								locks[v] = &lockInfo{v: v, label: n.Name.Name + "." + name.Name}
-							}
-						}
-					}
-					return false
-				case *ast.ValueSpec:
-					for _, name := range n.Names {
+	m.EachFile(func(_ *lint.Package, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
 						v, ok := m.Info.Defs[name].(*types.Var)
-						if ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() && isMutexType(v.Type()) {
-							locks[v] = &lockInfo{v: v, label: v.Pkg().Name() + "." + name.Name}
+						if ok && isMutexType(v.Type()) {
+							locks[v] = &lockInfo{v: v, label: n.Name.Name + "." + name.Name}
 						}
 					}
 				}
-				return true
-			})
-		}
-	}
+				return false
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					v, ok := m.Info.Defs[name].(*types.Var)
+					if ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() && isMutexType(v.Type()) {
+						locks[v] = &lockInfo{v: v, label: v.Pkg().Name() + "." + name.Name}
+					}
+				}
+			}
+			return true
+		})
+	})
 	return locks
 }
 

@@ -1,5 +1,7 @@
 // Package modsafe is modlint's whole-program soundness auditor — the
-// sibling of moddet on the shared internal/lint/modgraph substrate. Where
+// sibling of moddet, run as a modgraph.Tool whose passes share one
+// type-check, one call graph and one directive grammar with the other
+// whole-program tools inside a modgraph.Suite. Where
 // moddet protects the determinism guarantee, modsafe protects three
 // liveness/accounting contracts that only hold (or break) across function
 // boundaries:
@@ -29,51 +31,24 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the modsafe module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Tool is modsafe's directive grammar and passes.
+var Tool = &modgraph.Tool{
+	Name:  "modsafe",
+	Doc:   "whole-program soundness audit: lock acquisition order must be acyclic; //modsafe:acquires resources must be released on every path; //modsafe:charged work must charge the simulated clock",
+	Verbs: verbs,
+	Passes: []modgraph.Pass{
+		{Rules: []string{"lockorder"}, Graph: true, Run: func(p *modgraph.Program) []lint.Finding {
+			return lockOrder(p.Graph, p.Sup)
+		}},
+		{Rules: []string{"releasetrack"}, Run: func(p *modgraph.Program) []lint.Finding {
+			return releaseTrack(p.Module, annotationsOf(p), p.Sup)
+		}},
+		{Rules: []string{"chargeflow"}, Graph: true, Run: func(p *modgraph.Program) []lint.Finding {
+			return chargeFlow(p.Graph, annotationsOf(p), p.Sup)
+		}},
+	},
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see modgraph.ReadModulePath).
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
-
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "modsafe" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program soundness audit: lock acquisition order must be acyclic; //modsafe:acquires resources must be released on every path; //modsafe:charged work must charge the simulated clock"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string {
-	return []string{"lockorder", "releasetrack", "chargeflow", "modsafe"}
-}
-
-// CheckModule type-checks the package set and runs the three passes. Like
-// moddet it degrades gracefully on partial type information: whatever could
-// not be resolved is simply not analyzed.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
-	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
-	ann, out := collectDirectives(m)
-	g := modgraph.Build(m)
-	out = append(out, lockOrder(g, sup)...)
-	out = append(out, releaseTrack(m, ann, sup)...)
-	out = append(out, chargeFlow(g, ann, sup)...)
-	return out, m.Errs
-}
+// New returns the modsafe suite for a module with the given module path
+// (the `module` line of its go.mod — see modgraph.ReadModulePath).
+func New(modulePath string) *modgraph.Suite { return modgraph.NewSuite(modulePath, Tool) }

@@ -60,28 +60,14 @@ func releaseTrack(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet)
 		return nil
 	}
 	var out []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				rt := &releaseTracker{m: m, ann: ann, sup: sup, pkg: p, fd: fd,
-					flagged: make(map[token.Pos]bool)}
-				fn, _ := m.Info.Defs[fd.Name].(*types.Func)
-				if fn != nil {
-					if d := ann.acquires[fn]; d != nil {
-						rt.exemptKind = d.kind
-					}
-				}
-				rt.run()
-				out = append(out, rt.out...)
-			}
+	for _, d := range m.Bodies() {
+		rt := &releaseTracker{m: m, ann: ann, sup: sup, pkg: d.Pkg, fd: d.Decl,
+			flagged: make(map[token.Pos]bool)}
+		if a := ann.acquires[d.Obj]; a != nil {
+			rt.exemptKind = a.Kind
 		}
+		rt.run()
+		out = append(out, rt.out...)
 	}
 	return out
 }
@@ -343,12 +329,12 @@ func (rt *releaseTracker) handleCallStmt(call *ast.CallExpr, obls []obligation) 
 	}
 	// The result is dropped on the floor: nothing can ever release it.
 	pos := rt.pkg.Fset.Position(call.Pos())
-	if !rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") && d.kind != rt.exemptKind {
+	if !rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") && d.Kind != rt.exemptKind {
 		rt.out = append(rt.out, lint.Finding{
 			Pos:  pos,
 			Rule: "releasetrack",
 			Msg: fmt.Sprintf("%s from %s is discarded; the %s it acquires can never be released",
-				d.kind, modgraph.ShortFuncName(rt.m.Path, d.fn), d.kind),
+				d.Kind, modgraph.ShortFuncName(rt.m.Path, d.Obj), d.Kind),
 		})
 	}
 	return obls
@@ -360,7 +346,7 @@ func (rt *releaseTracker) handleDefer(st *ast.DeferStmt, obls []obligation) []ob
 	markDeferred := func(call *ast.CallExpr) {
 		if rd, key := rt.releaseTarget(call); rd != nil {
 			for i := range obls {
-				if !obls[i].viaDefer && obls[i].kind == rd.kind && (obls[i].key == key || key == "") {
+				if !obls[i].viaDefer && obls[i].kind == rd.Kind && (obls[i].key == key || key == "") {
 					obls[i].viaDefer = true
 				}
 			}
@@ -392,7 +378,7 @@ func (rt *releaseTracker) handleReleaseCall(call *ast.CallExpr, obls []obligatio
 	}
 	var kept []obligation
 	for _, o := range obls {
-		if o.kind == rd.kind && (o.key == key || key == "") {
+		if o.kind == rd.Kind && (o.key == key || key == "") {
 			continue
 		}
 		kept = append(kept, o)
@@ -403,7 +389,7 @@ func (rt *releaseTracker) handleReleaseCall(call *ast.CallExpr, obls []obligatio
 // releaseTarget resolves a call to a releases directive and the canonical
 // key of the value being released ("" when the expression is too complex to
 // key, which matches any obligation of the kind — conservative).
-func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*directive, string) {
+func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*modgraph.Directive, string) {
 	fn := rt.m.CalleeOf(call)
 	if fn == nil {
 		return nil, ""
@@ -430,11 +416,11 @@ func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*directive, string)
 // results are all `error` (the fallible Pause() error shape): nothing the
 // call returns can hold the resource, so the receiver does. The returned
 // key canonicalizes the receiver expression ("" when it is too complex).
-func receiverResourceKey(d *directive, call *ast.CallExpr) (string, bool) {
+func receiverResourceKey(d *modgraph.Directive, call *ast.CallExpr) (string, bool) {
 	if d == nil {
 		return "", false
 	}
-	sig, _ := d.fn.Type().(*types.Signature)
+	sig, _ := d.Obj.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
 		return "", false
 	}
@@ -452,20 +438,20 @@ func receiverResourceKey(d *directive, call *ast.CallExpr) (string, bool) {
 
 // acquireDirective resolves a call to its acquires directive, nil if the
 // callee is not annotated or the kind is exempt in this function.
-func (rt *releaseTracker) acquireDirective(call *ast.CallExpr) *directive {
+func (rt *releaseTracker) acquireDirective(call *ast.CallExpr) *modgraph.Directive {
 	fn := rt.m.CalleeOf(call)
 	if fn == nil {
 		return nil
 	}
 	d := rt.ann.acquires[fn]
-	if d == nil || d.kind == rt.exemptKind {
+	if d == nil || d.Kind == rt.exemptKind {
 		return nil
 	}
 	return d
 }
 
 // createObligation keys a new obligation off the assignment destinations.
-func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st *ast.AssignStmt, obls []obligation) []obligation {
+func (rt *releaseTracker) createObligation(d *modgraph.Directive, call *ast.CallExpr, st *ast.AssignStmt, obls []obligation) []obligation {
 	key, errKey := "", ""
 	if st != nil {
 		for _, lhs := range st.Lhs {
@@ -498,7 +484,7 @@ func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st 
 				Pos:  pos,
 				Rule: "releasetrack",
 				Msg: fmt.Sprintf("%s from %s is discarded; the %s it acquires can never be released",
-					d.kind, modgraph.ShortFuncName(rt.m.Path, d.fn), d.kind),
+					d.Kind, modgraph.ShortFuncName(rt.m.Path, d.Obj), d.Kind),
 			})
 		}
 		return obls
@@ -509,16 +495,16 @@ func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st 
 	return rt.addObligation(obls, d, call, key, errKey)
 }
 
-func (rt *releaseTracker) addObligation(obls []obligation, d *directive, call *ast.CallExpr, key, errKey string) []obligation {
+func (rt *releaseTracker) addObligation(obls []obligation, d *modgraph.Directive, call *ast.CallExpr, key, errKey string) []obligation {
 	pos := rt.pkg.Fset.Position(call.Pos())
 	if rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") {
 		return obls
 	}
 	return append(obls, obligation{
-		kind:   d.kind,
+		kind:   d.Kind,
 		key:    key,
 		pos:    call.Pos(),
-		by:     modgraph.ShortFuncName(rt.m.Path, d.fn),
+		by:     modgraph.ShortFuncName(rt.m.Path, d.Obj),
 		errKey: errKey,
 	})
 }
