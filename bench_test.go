@@ -21,6 +21,7 @@ import (
 	"modchecker/internal/core"
 	"modchecker/internal/experiments"
 	"modchecker/internal/stress"
+	"modchecker/internal/vmi"
 )
 
 // mustCloud builds a cloud or aborts the benchmark.
@@ -335,14 +336,16 @@ func BenchmarkNormalizePair(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckModule64 measures the 64-bit checker (ModChecker64
-// extension) on a 4-VM pool.
+// BenchmarkCheckModule64 measures the checker on a 4-VM pool of simulated
+// Windows-x64 guests: PE32+ modules, 4-level page tables, 8-byte Algorithm 2
+// fields, through the same core.Checker as the 32-bit pools.
 func BenchmarkCheckModule64(b *testing.B) {
 	disk, err := amd64.BuildStandardDisk64()
 	if err != nil {
 		b.Fatal(err)
 	}
-	targets := make([]amd64.Target64, 4)
+	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
+	targets := make([]core.Target, 4)
 	for i := range targets {
 		g, err := amd64.NewGuest64(amd64.Config64{
 			Name: fmt.Sprintf("x64-%d", i), BootSeed: int64(i + 1), Disk: disk,
@@ -350,15 +353,16 @@ func BenchmarkCheckModule64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		targets[i] = amd64.Target64{Name: g.Name(), Mem: g.Phys(), CR3: g.CR3()}
+		targets[i] = core.Target{Name: g.Name(), Handle: vmi.Open(g.Name(), g.Phys(), g.CR3(), profile)}
 	}
+	checker := core.NewChecker(core.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := amd64.CheckModule64("hal.dll", targets[0], targets[1:])
+		rep, err := checker.CheckModule("hal.dll", targets[0], targets[1:])
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Verdict != amd64.Clean64 {
+		if rep.Verdict != core.VerdictClean {
 			b.Fatal("clean 64-bit module flagged")
 		}
 	}

@@ -1,6 +1,8 @@
-// ModChecker64: the 64-bit future-work extension — the same cross-VM
-// integrity check against simulated Windows-x64 guests with PE32+ modules,
-// 4-level page tables and DIR64 relocations.
+// The 64-bit future-work extension: the same cross-VM integrity check,
+// run by the same checker (internal/core), against simulated Windows-x64
+// guests with PE32+ modules, 4-level page tables and DIR64 relocations.
+// internal/amd64 only simulates the guests; the vmi profile carries the
+// pointer width and the PE magic carries the address width.
 //
 //	go run ./examples/win64
 package main
@@ -10,6 +12,8 @@ import (
 	"log"
 
 	"modchecker/internal/amd64"
+	"modchecker/internal/core"
+	"modchecker/internal/vmi"
 )
 
 func main() {
@@ -18,8 +22,9 @@ func main() {
 		log.Fatal(err)
 	}
 	const n = 4
+	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
 	guests := make([]*amd64.Guest64, n)
-	targets := make([]amd64.Target64, n)
+	targets := make([]core.Target, n)
 	for i := 0; i < n; i++ {
 		g, err := amd64.NewGuest64(amd64.Config64{
 			Name:     fmt.Sprintf("Win7x64-%d", i+1),
@@ -30,7 +35,7 @@ func main() {
 			log.Fatal(err)
 		}
 		guests[i] = g
-		targets[i] = amd64.Target64{Name: g.Name(), Mem: g.Phys(), CR3: g.CR3()}
+		targets[i] = core.Target{Name: g.Name(), Handle: vmi.Open(g.Name(), g.Phys(), g.CR3(), profile)}
 	}
 
 	fmt.Println("64-bit pool up; hal.dll load bases (DIR64-relocated):")
@@ -38,7 +43,8 @@ func main() {
 		fmt.Printf("  %s: %#x\n", g.Name(), g.Module("hal.dll").Base)
 	}
 
-	rep, err := amd64.CheckModule64("hal.dll", targets[0], targets[1:])
+	checker := core.NewChecker(core.Config{})
+	rep, err := checker.CheckModule("hal.dll", targets[0], targets[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,10 +58,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npatched 2 bytes of tcpip.sys .text on %s\n", victim.Name())
-	rep, err = amd64.CheckModule64("tcpip.sys", targets[2],
-		[]amd64.Target64{targets[0], targets[1], targets[3]})
+	rep, err = checker.CheckModule("tcpip.sys", targets[2],
+		[]core.Target{targets[0], targets[1], targets[3]})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("tcpip.sys on %s: %s, mismatched: %v\n", victim.Name(), rep.Verdict, rep.Mismatched)
+	fmt.Printf("tcpip.sys on %s: %s, mismatched: %v\n", victim.Name(), rep.Verdict, rep.MismatchedComponents())
 }

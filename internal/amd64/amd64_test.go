@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"modchecker/internal/mm"
+	"modchecker/internal/nt"
 	"modchecker/internal/pe"
 )
 
@@ -28,7 +29,7 @@ func TestPE64RoundTrip(t *testing.T) {
 	if !bytes.Equal(raw, raw2) {
 		t.Error("PE32+ round trip not byte-identical")
 	}
-	if img.Optional.Magic != OptionalMagic64 || img.File.Machine != MachineAMD64 {
+	if img.Optional.Magic != pe.OptionalMagic64 || img.File.Machine != pe.MachineAMD64 {
 		t.Error("not a PE32+ AMD64 image")
 	}
 	if img.Optional.ImageBase != 0x180010000 {
@@ -165,7 +166,7 @@ func TestPaging64MapTranslate(t *testing.T) {
 	if err := as.Map(va, pfn, true); err != nil {
 		t.Fatal(err)
 	}
-	pa, err := as.Translate(va + 0x123)
+	pa, err := mm.WalkPageTables64(phys, as.CR3(), va+0x123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestPaging64RejectsNonCanonical(t *testing.T) {
 	if err := as.Map(0x0000800000000000, 3, true); err == nil {
 		t.Error("non-canonical address mapped")
 	}
-	if _, err := WalkPageTables64(phys, as.CR3(), 0x0000900000000000); err == nil {
+	if _, err := mm.WalkPageTables64(phys, as.CR3(), 0x0000900000000000); err == nil {
 		t.Error("non-canonical address translated")
 	}
 }
@@ -188,18 +189,22 @@ func TestPaging64RejectsNonCanonical(t *testing.T) {
 func TestPaging64UnmappedLevels(t *testing.T) {
 	phys := mm.NewPhysMemory(16<<20, 1)
 	as, _ := NewAddressSpace64(phys)
+	translate := func(va uint64) error {
+		_, err := mm.WalkPageTables64(phys, as.CR3(), va)
+		return err
+	}
 	// Nothing mapped: fails at PML4 level.
-	if _, err := as.Translate(0xFFFFF88001234000); err == nil {
+	if translate(0xFFFFF88001234000) == nil {
 		t.Error("empty space translated")
 	}
 	pfn, _ := phys.AllocFrame()
 	as.Map(0xFFFFF88001234000, pfn, true)
 	// Same PT, absent PTE.
-	if _, err := as.Translate(0xFFFFF88001235000); err == nil {
+	if translate(0xFFFFF88001235000) == nil {
 		t.Error("absent PTE translated")
 	}
 	// Different PML4 entry entirely.
-	if _, err := as.Translate(0x0000700000000000); err == nil {
+	if translate(0x0000700000000000) == nil {
 		t.Error("far VA translated")
 	}
 }
@@ -219,7 +224,7 @@ func TestPaging64ReadWriteCrossPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(data))
-	if err := ReadVirtual64(phys, as.CR3(), va+100, got); err != nil {
+	if err := mm.ReadVirtual64(phys, as.CR3(), va+100, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -227,34 +232,39 @@ func TestPaging64ReadWriteCrossPage(t *testing.T) {
 	}
 }
 
+// TestPaging64ExternalWalkMatches: the external walk lands every byte the
+// guest wrote through its own mappings.
 func TestPaging64ExternalWalkMatches(t *testing.T) {
 	phys := mm.NewPhysMemory(16<<20, 3)
 	as, _ := NewAddressSpace64(phys)
 	const va = 0xFFFFF8A000000000
 	as.AllocAndMap(va, 8*mm.PageSize, true)
 	for off := uint64(0); off < 8*mm.PageSize; off += 1021 {
-		want, err := as.Translate(va + off)
+		if err := as.Write(va+off, []byte{byte(off), byte(off >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+		pa, err := mm.WalkPageTables64(phys, as.CR3(), va+off)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := WalkPageTables64(phys, as.CR3(), va+off)
-		if err != nil || got != want {
-			t.Fatalf("external walk %#x != %#x at +%#x (%v)", got, want, off, err)
+		var got [1]byte
+		if err := phys.ReadPhys(pa, got[:]); err != nil || got[0] != byte(off) {
+			t.Fatalf("external walk of +%#x reads %#x (%v)", off, got[0], err)
 		}
 	}
 }
 
-// --- guest64 + checker64 end to end ---
+// --- guest64 ---
 
-func pool64(t testing.TB, n int) ([]*Guest64, []Target64) {
+// boot64 boots n clones of the standard 64-bit disk.
+func boot64(t testing.TB, n int) []*Guest64 {
 	t.Helper()
 	disk, err := BuildStandardDisk64()
 	if err != nil {
 		t.Fatal(err)
 	}
 	guests := make([]*Guest64, n)
-	targets := make([]Target64, n)
-	for i := 0; i < n; i++ {
+	for i := range guests {
 		g, err := NewGuest64(Config64{
 			Name:     "Win7x64-" + string(rune('1'+i)),
 			BootSeed: int64(i+1) * 104729,
@@ -264,14 +274,12 @@ func pool64(t testing.TB, n int) ([]*Guest64, []Target64) {
 			t.Fatal(err)
 		}
 		guests[i] = g
-		targets[i] = Target64{Name: g.Name(), Mem: g.Phys(), CR3: g.CR3()}
 	}
-	return guests, targets
+	return guests
 }
 
 func TestGuest64Boot(t *testing.T) {
-	guests, _ := pool64(t, 1)
-	mods := guests[0].Modules()
+	mods := boot64(t, 1)[0].Modules()
 	if len(mods) != 4 {
 		t.Fatalf("%d modules", len(mods))
 	}
@@ -283,37 +291,14 @@ func TestGuest64Boot(t *testing.T) {
 }
 
 func TestGuest64BasesDiffer(t *testing.T) {
-	guests, _ := pool64(t, 2)
+	guests := boot64(t, 2)
 	if guests[0].Module("hal.dll").Base == guests[1].Module("hal.dll").Base {
 		t.Error("clones share a base")
 	}
 }
 
-func TestListModules64MatchesGroundTruth(t *testing.T) {
-	guests, targets := pool64(t, 1)
-	mods, err := ListModules64(targets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := guests[0].Modules()
-	if len(mods) != len(truth) {
-		t.Fatalf("introspection sees %d, guest has %d", len(mods), len(truth))
-	}
-	byName := map[string]ModuleInfo64{}
-	for _, m := range mods {
-		byName[m.Name] = m
-	}
-	for _, w := range truth {
-		g, ok := byName[w.Name]
-		if !ok || g.Base != w.Base || g.SizeOfImage != w.SizeOfImage {
-			t.Errorf("%s: got %+v, want base %#x size %#x", w.Name, g, w.Base, w.SizeOfImage)
-		}
-	}
-}
-
 func TestGuest64LoadedImageMatchesLayout(t *testing.T) {
-	guests, _ := pool64(t, 1)
-	g := guests[0]
+	g := boot64(t, 1)[0]
 	mod := g.Module("hal.dll")
 	img, _ := Parse64(g.DiskImage("hal.dll"))
 	want, err := img.LayoutAt(mod.Base)
@@ -321,7 +306,7 @@ func TestGuest64LoadedImageMatchesLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, mod.SizeOfImage)
-	if err := g.AddressSpace().Read(mod.Base, got); err != nil {
+	if err := g.Read(mod.Base, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -329,177 +314,32 @@ func TestGuest64LoadedImageMatchesLayout(t *testing.T) {
 	}
 }
 
-func TestCheckModule64Clean(t *testing.T) {
-	_, targets := pool64(t, 4)
-	rep, err := CheckModule64("hal.dll", targets[0], targets[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != Clean64 {
-		t.Fatalf("verdict %v; mismatched %v", rep.Verdict, rep.Mismatched)
-	}
-	if rep.Successes != 3 || rep.Comparisons != 3 {
-		t.Errorf("%d/%d", rep.Successes, rep.Comparisons)
-	}
-}
-
-func TestCheckModule64AllCatalog(t *testing.T) {
-	_, targets := pool64(t, 3)
-	for _, spec := range StandardCatalog64() {
-		rep, err := CheckModule64(spec.Name, targets[0], targets[1:])
-		if err != nil {
-			t.Errorf("%s: %v", spec.Name, err)
-			continue
-		}
-		if rep.Verdict != Clean64 {
-			t.Errorf("%s: %v (%v)", spec.Name, rep.Verdict, rep.Mismatched)
-		}
-	}
-}
-
-func TestCheckModule64DetectsPatch(t *testing.T) {
-	guests, targets := pool64(t, 4)
-	// Patch 4 code bytes in the live module on VM 2 (a 64-bit inline
-	// patch).
-	g := guests[1]
-	mod := g.Module("tcpip.sys")
-	if err := g.AddressSpace().Write(mod.Base+0x1100, []byte{0xCC, 0xCC, 0xCC, 0xCC}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CheckModule64("tcpip.sys", targets[1], []Target64{targets[0], targets[2], targets[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != Altered64 {
-		t.Fatalf("verdict %v", rep.Verdict)
-	}
-	if len(rep.Mismatched) != 1 || rep.Mismatched[0] != ".text" {
-		t.Errorf("mismatched = %v", rep.Mismatched)
-	}
-	// Other VMs still judge their copies clean.
-	rep, err = CheckModule64("tcpip.sys", targets[0], []Target64{targets[1], targets[2], targets[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != Clean64 || rep.Successes != 2 {
-		t.Errorf("clean VM: %v %d/%d", rep.Verdict, rep.Successes, rep.Comparisons)
-	}
-}
-
-func TestCheckModule64HeaderTamper(t *testing.T) {
-	guests, targets := pool64(t, 3)
-	g := guests[0]
-	mod := g.Module("hal.dll")
-	// Flip a byte in the OPTIONAL header (in-memory).
-	hdr := make([]byte, 0x40)
-	g.AddressSpace().Read(mod.Base, hdr)
-	lfanew := uint64(binary.LittleEndian.Uint32(hdr[0x3C:]))
-	if err := g.AddressSpace().Write(mod.Base+lfanew+4+pe.FileHeaderSize+46, []byte{0x99}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CheckModule64("hal.dll", targets[0], targets[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != Altered64 {
-		t.Fatalf("verdict %v", rep.Verdict)
-	}
-	if len(rep.Mismatched) != 1 || rep.Mismatched[0] != "IMAGE_OPTIONAL_HEADER64" {
-		t.Errorf("mismatched = %v", rep.Mismatched)
-	}
-}
-
-func TestCheckModule64Missing(t *testing.T) {
-	_, targets := pool64(t, 2)
-	if _, err := CheckModule64("ghost.sys", targets[0], targets[1:]); err == nil {
-		t.Error("missing module check succeeded")
-	}
-}
-
-// --- NormalizePair64 ---
-
-func TestNormalizePair64Identity(t *testing.T) {
-	const b1, b2 = 0xFFFFF88001234000, 0xFFFFF88004562000
-	le := binary.LittleEndian
-	d1 := make([]byte, 256)
-	d2 := make([]byte, 256)
-	for i := range d1 {
-		d1[i] = byte(i)
-		d2[i] = byte(i)
-	}
-	for _, off := range []int{8, 64, 248} {
-		le.PutUint64(d1[off:], b1+0x5000)
-		le.PutUint64(d2[off:], b2+0x5000)
-	}
-	n1, n2, sites := NormalizePair64(d1, d2, b1, b2)
-	if !bytes.Equal(n1, n2) {
-		t.Fatal("not normalized")
-	}
-	if len(sites) != 3 {
-		t.Errorf("sites = %v", sites)
-	}
-}
-
-func TestNormalizePair64PreservesTamper(t *testing.T) {
-	const b1, b2 = 0xFFFFF88001234000, 0xFFFFF88004562000
-	d1 := make([]byte, 128)
-	d2 := make([]byte, 128)
-	d1[77] = 0xCC // tampered byte
-	n1, n2, _ := NormalizePair64(d1, d2, b1, b2)
-	if bytes.Equal(n1, n2) {
-		t.Error("tamper normalized away")
-	}
-}
-
+// TestNormalizePair64Ldr64Offsets pins the LDR entries the 64-bit loader
+// writes to the x64 layout: 8-byte pointers, DllBase at 0x30 and the
+// BaseDllName buffer pointer at 0x60, decoded back by nt.X64.
 func TestNormalizePair64Ldr64Offsets(t *testing.T) {
-	// Sanity on the x64 LDR entry codec.
-	e := LdrEntry64{
-		InLoadOrderLinks: ListEntry64{Flink: 0xFFFFF8A000000100, Blink: 0xFFFFF80001A45680},
-		DllBase:          0xFFFFF88001234000,
-		EntryPoint:       0xFFFFF88001235010,
-		SizeOfImage:      0x24000,
-		BaseDllName:      UnicodeString64{Length: 14, MaximumLength: 14, Buffer: 0xFFFFF8A000000200},
+	g := boot64(t, 1)[0]
+	mod := g.Module("hal.dll")
+	b := make([]byte, nt.X64.LdrEntrySize)
+	if err := g.Read(mod.LdrEntryVA, b); err != nil {
+		t.Fatal(err)
 	}
-	back, err := DecodeLdrEntry64(e.Encode())
+	if got := binary.LittleEndian.Uint64(b[0x30:]); got != mod.Base {
+		t.Errorf("DllBase at 0x30 = %#x, want %#x", got, mod.Base)
+	}
+	e, err := nt.X64.DecodeLdrEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.DllBase != e.DllBase || back.BaseDllName.Buffer != e.BaseDllName.Buffer ||
-		back.InLoadOrderLinks != e.InLoadOrderLinks || back.SizeOfImage != e.SizeOfImage {
-		t.Errorf("round trip: %+v", back)
+	if e.BaseDllName.Buffer != binary.LittleEndian.Uint64(b[0x60:]) || e.SizeOfImage != mod.SizeOfImage {
+		t.Errorf("decoded entry %+v", e)
 	}
-	b := e.Encode()
-	if got := binary.LittleEndian.Uint64(b[0x30:]); got != e.DllBase {
-		t.Errorf("DllBase not at 0x30")
-	}
-	if got := binary.LittleEndian.Uint64(b[0x58+8:]); got != e.BaseDllName.Buffer {
-		t.Errorf("BaseDllName.Buffer not at 0x60")
-	}
-}
-
-func TestGuest64Unload(t *testing.T) {
-	guests, targets := pool64(t, 1)
-	g := guests[0]
-	if err := g.UnloadModule("hal.dll"); err != nil {
+	name := make([]byte, e.BaseDllName.Length)
+	if err := g.Read(e.BaseDllName.Buffer, name); err != nil {
 		t.Fatal(err)
 	}
-	if g.Module("hal.dll") != nil {
-		t.Error("module still tracked")
-	}
-	mods, err := ListModules64(targets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range mods {
-		if m.Name == "hal.dll" {
-			t.Error("unloaded module still in list")
-		}
-	}
-	if len(mods) != 3 {
-		t.Errorf("%d modules after unload", len(mods))
-	}
-	if err := g.UnloadModule("hal.dll"); err == nil {
-		t.Error("double unload succeeded")
+	if s, _ := nt.DecodeUTF16(name); s != "hal.dll" {
+		t.Errorf("BaseDllName = %q", s)
 	}
 }
 
@@ -543,26 +383,5 @@ func TestParse64Malformed(t *testing.T) {
 	}
 	if _, err := Parse64(nil); err == nil {
 		t.Error("nil parsed")
-	}
-}
-
-func TestCheckModule64PeerWithoutModule(t *testing.T) {
-	guests, targets := pool64(t, 4)
-	if err := guests[2].UnloadModule("hal.dll"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CheckModule64("hal.dll", targets[0], targets[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Peer without the module is excluded from the vote.
-	if rep.Comparisons != 2 || rep.Verdict != Clean64 {
-		t.Errorf("%d comparisons, %v", rep.Comparisons, rep.Verdict)
-	}
-}
-
-func TestVerdict64Strings(t *testing.T) {
-	if Clean64.String() != "CLEAN" || Altered64.String() != "ALTERED" || Inconclusive64.String() != "INCONCLUSIVE" {
-		t.Error("verdict strings")
 	}
 }

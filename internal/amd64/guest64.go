@@ -25,92 +25,6 @@ const (
 	driverArea64End   = 0xFFFFF8800A000000
 )
 
-// x64 LDR_DATA_TABLE_ENTRY field offsets.
-const (
-	Ldr64Size           = 0x70
-	off64InLoadOrder    = 0x00
-	off64DllBase        = 0x30
-	off64EntryPoint     = 0x38
-	off64SizeOfImage    = 0x40
-	off64FullDllName    = 0x48
-	off64BaseDllName    = 0x58
-	off64Flags          = 0x68
-	unicodeString64Size = 0x10
-)
-
-// ListEntry64 is the 64-bit LIST_ENTRY.
-type ListEntry64 struct {
-	Flink uint64
-	Blink uint64
-}
-
-// LdrEntry64 is the x64 LDR_DATA_TABLE_ENTRY subset ModChecker64 reads.
-type LdrEntry64 struct {
-	InLoadOrderLinks ListEntry64
-	DllBase          uint64
-	EntryPoint       uint64
-	SizeOfImage      uint32
-	FullDllName      UnicodeString64
-	BaseDllName      UnicodeString64
-}
-
-// UnicodeString64 is the 64-bit UNICODE_STRING (8-byte Buffer pointer,
-// 4 bytes of alignment padding after the lengths).
-type UnicodeString64 struct {
-	Length        uint16
-	MaximumLength uint16
-	Buffer        uint64
-}
-
-func encodeUS64(s UnicodeString64) []byte {
-	b := make([]byte, unicodeString64Size)
-	le := binary.LittleEndian
-	le.PutUint16(b[0:], s.Length)
-	le.PutUint16(b[2:], s.MaximumLength)
-	le.PutUint64(b[8:], s.Buffer)
-	return b
-}
-
-func decodeUS64(b []byte) UnicodeString64 {
-	le := binary.LittleEndian
-	return UnicodeString64{
-		Length:        le.Uint16(b[0:]),
-		MaximumLength: le.Uint16(b[2:]),
-		Buffer:        le.Uint64(b[8:]),
-	}
-}
-
-// Encode serializes the entry to Ldr64Size bytes.
-func (e *LdrEntry64) Encode() []byte {
-	b := make([]byte, Ldr64Size)
-	le := binary.LittleEndian
-	le.PutUint64(b[off64InLoadOrder:], e.InLoadOrderLinks.Flink)
-	le.PutUint64(b[off64InLoadOrder+8:], e.InLoadOrderLinks.Blink)
-	le.PutUint64(b[off64DllBase:], e.DllBase)
-	le.PutUint64(b[off64EntryPoint:], e.EntryPoint)
-	le.PutUint32(b[off64SizeOfImage:], e.SizeOfImage)
-	copy(b[off64FullDllName:], encodeUS64(e.FullDllName))
-	copy(b[off64BaseDllName:], encodeUS64(e.BaseDllName))
-	le.PutUint32(b[off64Flags:], 0x09004000)
-	return b
-}
-
-// DecodeLdrEntry64 parses an x64 loader entry.
-func DecodeLdrEntry64(b []byte) (*LdrEntry64, error) {
-	if len(b) < Ldr64Size {
-		return nil, fmt.Errorf("amd64: LDR entry needs %#x bytes, have %#x", Ldr64Size, len(b))
-	}
-	le := binary.LittleEndian
-	return &LdrEntry64{
-		InLoadOrderLinks: ListEntry64{Flink: le.Uint64(b[off64InLoadOrder:]), Blink: le.Uint64(b[off64InLoadOrder+8:])},
-		DllBase:          le.Uint64(b[off64DllBase:]),
-		EntryPoint:       le.Uint64(b[off64EntryPoint:]),
-		SizeOfImage:      le.Uint32(b[off64SizeOfImage:]),
-		FullDllName:      decodeUS64(b[off64FullDllName:]),
-		BaseDllName:      decodeUS64(b[off64BaseDllName:]),
-	}, nil
-}
-
 // Module64 is the guest-side record of one loaded 64-bit module.
 type Module64 struct {
 	Name        string
@@ -169,10 +83,8 @@ func NewGuest64(cfg Config64) (*Guest64, error) {
 	if err := as.AllocAndMap(kernelGlobals64VA, mm.PageSize, true); err != nil {
 		return nil, err
 	}
-	head := make([]byte, 16)
-	binary.LittleEndian.PutUint64(head[0:], PsLoadedModuleList64VA)
-	binary.LittleEndian.PutUint64(head[8:], PsLoadedModuleList64VA)
-	if err := as.Write(PsLoadedModuleList64VA, head); err != nil {
+	head := nt.ListEntry{Flink: PsLoadedModuleList64VA, Blink: PsLoadedModuleList64VA}
+	if err := as.Write(PsLoadedModuleList64VA, nt.X64.EncodeListEntry(head)); err != nil {
 		return nil, err
 	}
 	g.nextModuleVA = driverArea64VA + uint64(g.rng.Intn(512))*mm.PageSize
@@ -302,42 +214,59 @@ func (g *Guest64) LoadModule(name string) (*Module64, error) {
 	if err := g.as.Write(fullVA, fullBuf); err != nil {
 		return nil, err
 	}
-	entryVA, err := g.poolAlloc(Ldr64Size, 16)
+	entryVA, err := g.poolAlloc(nt.X64.LdrEntrySize, 16)
 	if err != nil {
 		return nil, err
 	}
 
 	// InsertTailList through guest memory.
-	headBuf := make([]byte, 16)
-	if err := g.as.Read(PsLoadedModuleList64VA, headBuf); err != nil {
+	head, err := g.readListEntry(PsLoadedModuleList64VA)
+	if err != nil {
 		return nil, err
 	}
-	le := binary.LittleEndian
-	tail := le.Uint64(headBuf[8:])
-	entry := LdrEntry64{
-		InLoadOrderLinks: ListEntry64{Flink: PsLoadedModuleList64VA, Blink: tail},
+	entry := nt.LdrDataTableEntry{
+		InLoadOrderLinks: nt.ListEntry{Flink: PsLoadedModuleList64VA, Blink: head.Blink},
 		DllBase:          base,
 		EntryPoint:       base + uint64(img.Optional.AddressOfEntryPoint),
 		SizeOfImage:      img.Optional.SizeOfImage,
-		FullDllName:      UnicodeString64{Length: uint16(len(fullBuf)), MaximumLength: uint16(len(fullBuf)), Buffer: fullVA},
-		BaseDllName:      UnicodeString64{Length: uint16(len(nameBuf)), MaximumLength: uint16(len(nameBuf)), Buffer: nameVA},
+		FullDllName:      nt.UnicodeString{Length: uint16(len(fullBuf)), MaximumLength: uint16(len(fullBuf)), Buffer: fullVA},
+		BaseDllName:      nt.UnicodeString{Length: uint16(len(nameBuf)), MaximumLength: uint16(len(nameBuf)), Buffer: nameVA},
+		Flags:            0x09004000,
 	}
-	if err := g.as.Write(entryVA, entry.Encode()); err != nil {
+	if err := g.as.Write(entryVA, nt.X64.EncodeLdrEntry(&entry)); err != nil {
 		return nil, err
 	}
-	// tail.Flink = entry
-	var fb [8]byte
-	le.PutUint64(fb[:], entryVA)
-	if err := g.as.Write(tail, fb[:]); err != nil {
+	if err := g.writePtr(head.Blink, entryVA); err != nil { // tail.Flink = entry
 		return nil, err
 	}
-	// head.Blink = entry
-	if err := g.as.Write(PsLoadedModuleList64VA+8, fb[:]); err != nil {
+	if err := g.writePtr(PsLoadedModuleList64VA+8, entryVA); err != nil { // head.Blink = entry
 		return nil, err
 	}
 	mod.LdrEntryVA = entryVA
 	g.modules[name] = mod
 	return mod, nil
+}
+
+// readListEntry reads a LIST_ENTRY through the guest's own tables.
+func (g *Guest64) readListEntry(va uint64) (nt.ListEntry, error) {
+	b := make([]byte, nt.X64.ListEntrySize())
+	if err := g.Read(va, b); err != nil {
+		return nt.ListEntry{}, err
+	}
+	return nt.X64.DecodeListEntry(b)
+}
+
+// writePtr stores one 8-byte pointer through the guest's own tables.
+func (g *Guest64) writePtr(va, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return g.as.Write(va, b[:])
+}
+
+// Read copies guest virtual memory: guest-side code (and tests) reading
+// the kernel address space.
+func (g *Guest64) Read(va uint64, b []byte) error {
+	return mm.ReadVirtual64(g.phys, g.as.CR3(), va, b)
 }
 
 // UnloadModule unlinks and unmaps a module (no frame reclamation; 64-bit
@@ -347,19 +276,14 @@ func (g *Guest64) UnloadModule(name string) error {
 	if !ok {
 		return fmt.Errorf("amd64: %s not loaded", name)
 	}
-	b := make([]byte, 16)
-	if err := g.as.Read(mod.LdrEntryVA, b); err != nil {
+	links, err := g.readListEntry(mod.LdrEntryVA)
+	if err != nil {
 		return err
 	}
-	le := binary.LittleEndian
-	flink, blink := le.Uint64(b[0:]), le.Uint64(b[8:])
-	var tmp [8]byte
-	le.PutUint64(tmp[:], flink)
-	if err := g.as.Write(blink, tmp[:]); err != nil { // blink.Flink = flink
+	if err := g.writePtr(links.Blink, links.Flink); err != nil { // blink.Flink = flink
 		return err
 	}
-	le.PutUint64(tmp[:], blink)
-	if err := g.as.Write(flink+8, tmp[:]); err != nil { // flink.Blink = blink
+	if err := g.writePtr(links.Flink+8, links.Blink); err != nil { // flink.Blink = blink
 		return err
 	}
 	delete(g.modules, name)

@@ -7,15 +7,10 @@ import (
 	"modchecker/internal/mm"
 )
 
-// x86-64 4-level paging over the shared guest-physical substrate. Entries
-// are 8 bytes; virtual addresses are 48-bit canonical (bits 47..63 sign
-// extended). Each table holds 512 entries covering 9 bits of VA.
-const (
-	pteP        = 1 << 0 // present
-	pteW        = 1 << 1 // writable
-	entries64   = 512
-	frameMask64 = 0x000FFFFFFFFFF000
-)
+// x86-64 4-level paging over the shared guest-physical substrate: the
+// guest-side half only. The guest kernel maps and writes through its own
+// tables; translation is mm.WalkPageTables64, the same external walk the
+// VMI layer performs from outside the guest.
 
 // AddressSpace64 is one 64-bit virtual address space rooted at a PML4
 // inside guest-physical memory.
@@ -39,29 +34,10 @@ func (as *AddressSpace64) CR3() uint32 { return as.cr3 }
 // Phys returns the backing physical memory.
 func (as *AddressSpace64) Phys() *mm.PhysMemory { return as.mem }
 
-// canonical reports whether va is a canonical 48-bit address.
-func canonical(va uint64) bool {
-	top := va >> 47
-	return top == 0 || top == 0x1FFFF
-}
-
-func readEntry64(mem mm.PhysReader, pa uint32) (uint64, error) {
-	var b [8]byte
-	if err := mem.ReadPhys(pa, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
 func (as *AddressSpace64) writeEntry64(pa uint32, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return as.mem.WritePhys(pa, b[:])
-}
-
-// levelIndex extracts the 9-bit table index for level (3 = PML4 .. 0 = PT).
-func levelIndex(va uint64, level uint) uint32 {
-	return uint32(va>>(12+9*level)) & (entries64 - 1)
 }
 
 // Map installs va -> pfn, allocating intermediate tables as needed. va
@@ -70,33 +46,33 @@ func (as *AddressSpace64) Map(va uint64, pfn uint32, writable bool) error {
 	if va&(mm.PageSize-1) != 0 {
 		return fmt.Errorf("amd64: map of unaligned address %#x", va)
 	}
-	if !canonical(va) {
+	if !mm.Canonical64(va) {
 		return fmt.Errorf("amd64: non-canonical address %#x", va)
 	}
 	tablePA := as.cr3
 	for level := uint(3); level >= 1; level-- {
-		entryPA := tablePA + levelIndex(va, level)*8
-		entry, err := readEntry64(as.mem, entryPA)
+		entryPA := tablePA + mm.PTIndex64(va, level)*8
+		entry, err := mm.ReadPTE64(as.mem, entryPA)
 		if err != nil {
 			return err
 		}
-		if entry&pteP == 0 {
+		if entry&mm.PtePresent == 0 {
 			newPFN, err := as.mem.AllocFrame()
 			if err != nil {
 				return fmt.Errorf("amd64: allocating level-%d table: %w", level, err)
 			}
-			entry = uint64(newPFN)<<mm.PageShift | pteP | pteW
+			entry = uint64(newPFN)<<mm.PageShift | mm.PtePresent | mm.PteWritable
 			if err := as.writeEntry64(entryPA, entry); err != nil {
 				return err
 			}
 		}
-		tablePA = uint32(entry & frameMask64)
+		tablePA = mm.PTEFrame64(entry)
 	}
-	flags := uint64(pteP)
+	flags := uint64(mm.PtePresent)
 	if writable {
-		flags |= pteW
+		flags |= mm.PteWritable
 	}
-	return as.writeEntry64(tablePA+levelIndex(va, 0)*8, uint64(pfn)<<mm.PageShift|flags)
+	return as.writeEntry64(tablePA+mm.PTIndex64(va, 0)*8, uint64(pfn)<<mm.PageShift|flags)
 }
 
 // AllocAndMap allocates and maps size bytes at the page-aligned va.
@@ -114,79 +90,18 @@ func (as *AddressSpace64) AllocAndMap(va uint64, size uint32, writable bool) err
 	return nil
 }
 
-// Translate walks this address space's tables for va.
-func (as *AddressSpace64) Translate(va uint64) (uint32, error) {
-	return WalkPageTables64(as.mem, as.cr3, va)
-}
-
-// WalkPageTables64 translates a 64-bit guest VA by walking the 4-level
-// tables through raw physical reads — the introspection-side walk, exactly
-// as the VMI layer performs it from outside the guest.
-func WalkPageTables64(mem mm.PhysReader, cr3 uint32, va uint64) (uint32, error) {
-	if !canonical(va) {
-		return 0, fmt.Errorf("amd64: non-canonical address %#x", va)
-	}
-	tablePA := cr3
-	for level := uint(3); level >= 1; level-- {
-		entry, err := readEntry64(mem, tablePA+levelIndex(va, level)*8)
-		if err != nil {
-			return 0, err
-		}
-		if entry&pteP == 0 {
-			return 0, fmt.Errorf("%w: va %#x (level %d)", mm.ErrUnmapped, va, level)
-		}
-		tablePA = uint32(entry & frameMask64)
-	}
-	pte, err := readEntry64(mem, tablePA+levelIndex(va, 0)*8)
-	if err != nil {
-		return 0, err
-	}
-	if pte&pteP == 0 {
-		return 0, fmt.Errorf("%w: va %#x (PTE)", mm.ErrUnmapped, va)
-	}
-	return uint32(pte&frameMask64) | uint32(va&(mm.PageSize-1)), nil
-}
-
-// Read copies guest virtual memory page by page.
-func (as *AddressSpace64) Read(va uint64, b []byte) error {
-	return ReadVirtual64(as.mem, as.cr3, va, b)
-}
-
 // Write copies b into guest virtual memory.
 func (as *AddressSpace64) Write(va uint64, b []byte) error {
 	for len(b) > 0 {
-		pa, err := as.Translate(va)
+		pa, err := mm.WalkPageTables64(as.mem, as.cr3, va)
 		if err != nil {
 			return err
 		}
-		off := uint32(va & (mm.PageSize - 1))
-		n := mm.PageSize - off
+		n := mm.PageSize - uint32(va&(mm.PageSize-1))
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
 		if err := as.mem.WritePhys(pa, b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-		va += uint64(n)
-	}
-	return nil
-}
-
-// ReadVirtual64 is the external (introspection-side) virtual read: each
-// page is translated via WalkPageTables64 and read physically.
-func ReadVirtual64(mem mm.PhysReader, cr3 uint32, va uint64, b []byte) error {
-	for len(b) > 0 {
-		pa, err := WalkPageTables64(mem, cr3, va)
-		if err != nil {
-			return err
-		}
-		off := uint32(va & (mm.PageSize - 1))
-		n := mm.PageSize - off
-		if int(n) > len(b) {
-			n = uint32(len(b))
-		}
-		if err := mem.ReadPhys(pa, b[:n]); err != nil {
 			return err
 		}
 		b = b[n:]

@@ -1,20 +1,17 @@
-// Package amd64 is ModChecker64: the 64-bit vertical slice of the
-// reproduction, covering the portability the paper claims ("The ModChecker
-// design is portable to any VMM...") and the obvious future-work target —
-// modern 64-bit Windows guests.
-//
-// It mirrors the 32-bit stack end to end at PE32+/x86-64 fidelity:
+// Package amd64 is the 64-bit guest simulator: the Windows-7-x64 side of
+// the portability the paper claims ("The ModChecker design is portable to
+// any VMM..."). It builds and boots 64-bit guests; it does not check them.
+// The checker is internal/core at either address width, reached through a
+// vmi handle opened with vmi.Win7x64Profile.
 //
 //   - pe64.go     — PE32+ images (IMAGE_OPTIONAL_HEADER64, 64-bit
 //     ImageBase, DIR64 relocations)
 //   - codegen64.go — x86-64 code with MOV RAX,imm64 absolute addresses
 //     and RIP-relative (relocation-free) accesses
-//   - paging64.go — 4-level x86-64 page tables (PML4 → PDPT → PD → PT)
-//     over the shared guest-physical substrate
-//   - guest64.go  — a 64-bit guest with the x64 LDR_DATA_TABLE_ENTRY
-//     layout in PsLoadedModuleList
-//   - checker64.go — ModChecker64: searcher, parser and Integrity-Checker
-//     with the 8-byte-address variant of Algorithm 2
+//   - paging64.go — the guest side of 4-level x86-64 page tables (PML4 →
+//     PDPT → PD → PT) over the shared guest-physical substrate
+//   - guest64.go  — a 64-bit guest whose loader links nt.X64
+//     LDR_DATA_TABLE_ENTRY records into PsLoadedModuleList
 package amd64
 
 import (
@@ -23,17 +20,6 @@ import (
 	"fmt"
 
 	"modchecker/internal/pe"
-)
-
-// PE32+ constants that differ from PE32.
-const (
-	// OptionalMagic64 is IMAGE_NT_OPTIONAL_HDR64_MAGIC.
-	OptionalMagic64 = 0x020B
-	// MachineAMD64 is IMAGE_FILE_MACHINE_AMD64.
-	MachineAMD64 = 0x8664
-	// OptionalHeader64Size is sizeof(IMAGE_OPTIONAL_HEADER64) with 16
-	// data directories.
-	OptionalHeader64Size = 240
 )
 
 // OptionalHeader64 is IMAGE_OPTIONAL_HEADER64: like the 32-bit header but
@@ -173,14 +159,14 @@ func (b *Builder64) Build() (*Image64, error) {
 		},
 		DOSStub: append([]byte(nil), b.dosStub...),
 		File: pe.FileHeader{
-			Machine:              MachineAMD64,
+			Machine:              pe.MachineAMD64,
 			NumberOfSections:     uint16(len(secs)),
 			TimeDateStamp:        0x5F000000,
-			SizeOfOptionalHeader: OptionalHeader64Size,
+			SizeOfOptionalHeader: pe.OptionalHeader64Size,
 			Characteristics:      pe.FileExecutableImage | pe.FileLocalSymsStripped | pe.FileLineNumsStripped,
 		},
 		Optional: OptionalHeader64{
-			Magic:                       OptionalMagic64,
+			Magic:                       pe.OptionalMagic64,
 			MajorLinkerVersion:          14,
 			ImageBase:                   b.imageBase,
 			SectionAlignment:            pe.DefaultSectionAlignment,
@@ -197,7 +183,7 @@ func (b *Builder64) Build() (*Image64, error) {
 	img.Optional.DataDirectory[pe.DirBaseReloc] = relocDir
 
 	headerBytes := uint32(pe.DOSHeaderSize+len(b.dosStub)) + 4 + pe.FileHeaderSize +
-		OptionalHeader64Size + uint32(len(secs))*pe.SectionHeaderSize
+		pe.OptionalHeader64Size + uint32(len(secs))*pe.SectionHeaderSize
 	img.Optional.SizeOfHeaders = align(headerBytes, pe.DefaultFileAlignment)
 
 	rva := uint32(pe.DefaultSectionAlignment)
@@ -282,7 +268,7 @@ func Parse64(raw []byte) (*Image64, error) {
 		return nil, fmt.Errorf("amd64: bad DOS magic %#04x", img.DOS.EMagic)
 	}
 	lfanew := img.DOS.ELfanew
-	if uint64(lfanew)+4+pe.FileHeaderSize+OptionalHeader64Size > uint64(len(raw)) {
+	if uint64(lfanew)+4+pe.FileHeaderSize+pe.OptionalHeader64Size > uint64(len(raw)) {
 		return nil, fmt.Errorf("amd64: e_lfanew %#x out of range", lfanew)
 	}
 	img.DOSStub = append([]byte(nil), raw[pe.DOSHeaderSize:lfanew]...)
@@ -293,20 +279,20 @@ func Parse64(raw []byte) (*Image64, error) {
 	if err := binary.Read(bytes.NewReader(raw[off:off+pe.FileHeaderSize]), le, &img.File); err != nil {
 		return nil, err
 	}
-	if img.File.Machine != MachineAMD64 {
+	if img.File.Machine != pe.MachineAMD64 {
 		return nil, fmt.Errorf("amd64: machine %#04x is not AMD64", img.File.Machine)
 	}
-	if img.File.SizeOfOptionalHeader != OptionalHeader64Size {
+	if img.File.SizeOfOptionalHeader != pe.OptionalHeader64Size {
 		return nil, fmt.Errorf("amd64: optional header size %d", img.File.SizeOfOptionalHeader)
 	}
 	off += pe.FileHeaderSize
-	if err := binary.Read(bytes.NewReader(raw[off:off+OptionalHeader64Size]), le, &img.Optional); err != nil {
+	if err := binary.Read(bytes.NewReader(raw[off:off+pe.OptionalHeader64Size]), le, &img.Optional); err != nil {
 		return nil, err
 	}
-	if img.Optional.Magic != OptionalMagic64 {
+	if img.Optional.Magic != pe.OptionalMagic64 {
 		return nil, fmt.Errorf("amd64: optional magic %#04x is not PE32+", img.Optional.Magic)
 	}
-	off += OptionalHeader64Size
+	off += pe.OptionalHeader64Size
 	n := int(img.File.NumberOfSections)
 	if uint64(off)+uint64(n)*pe.SectionHeaderSize > uint64(len(raw)) {
 		return nil, fmt.Errorf("amd64: section table exceeds image")

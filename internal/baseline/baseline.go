@@ -55,7 +55,7 @@ func (db *Database) AddTrustedImage(name string, image []byte) error {
 	if err != nil {
 		return fmt.Errorf("baseline: laying out %s: %w", name, err)
 	}
-	hashes, err := componentHashes(name, img.Optional.ImageBase, mem, img.Optional.ImageBase)
+	hashes, err := componentHashes(name, uint64(img.Optional.ImageBase), mem, uint64(img.Optional.ImageBase))
 	if err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func (db *Database) Remove(name string) {
 // component after reloc-table RVA normalization. loadBase is the address
 // the copy is (notionally) loaded at; layoutBase is the base embedded in
 // its absolute addresses (equal for trusted file layouts).
-func componentHashes(name string, loadBase uint32, mem []byte, layoutBase uint32) ([]ComponentHash, error) {
+func componentHashes(name string, loadBase uint64, mem []byte, layoutBase uint64) ([]ComponentHash, error) {
 	parsed, _, err := core.ParseModule("baseline", name, loadBase, mem)
 	if err != nil {
 		return nil, err
@@ -96,7 +96,7 @@ func componentHashes(name string, loadBase uint32, mem []byte, layoutBase uint32
 		c := &parsed.Components[i]
 		data := c.Data
 		if c.Normalize {
-			data = core.ApplyRelocNormalization(c, sites, layoutBase)
+			data = core.ApplyRelocNormalization(c, sites, layoutBase, parsed.AddrWidth)
 		}
 		out = append(out, ComponentHash{Component: c.Name, Digest: md5.Sum(data)})
 	}
@@ -136,7 +136,7 @@ func (db *Database) Verify(module string, target core.Target) (*Result, error) {
 	}
 	// componentHashes copies every byte it keeps, so the pooled module
 	// copy goes back as soon as the digests exist.
-	got, err := componentHashes(module, info.Base, buf, info.Base)
+	got, err := componentHashes(module, info.DllBase, buf, info.DllBase)
 	core.ReleaseModuleCopy(buf)
 	if err != nil {
 		return nil, err

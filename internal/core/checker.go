@@ -258,7 +258,7 @@ type ComponentTally struct {
 type ModuleReport struct {
 	ModuleName string
 	TargetVM   string
-	Base       uint32
+	Base       uint64
 
 	Pairs      []PairResult
 	Components []ComponentTally
@@ -385,7 +385,7 @@ func (c *Checker) fetchAndParse(t Target, module string) *fetched {
 func (c *Checker) parseFetched(f *fetched, t Target, module string, info *ModuleInfo, buf []byte) {
 	f.info = info
 	f.buf = buf
-	parsed, parseCost, err := ParseModule(t.Name, module, info.Base, buf)
+	parsed, parseCost, err := ParseModule(t.Name, module, info.DllBase, buf)
 	f.timing.Parser = c.charge(parseCost)
 	if err != nil {
 		f.err = err
@@ -405,7 +405,7 @@ func (c *Checker) parseFetched(f *fetched, t Target, module string, info *Module
 			comp := &parsed.Components[i]
 			data := comp.Data
 			if comp.Normalize {
-				data = ApplyRelocNormalization(comp, sites, info.Base)
+				data = ApplyRelocNormalization(comp, sites, info.DllBase, parsed.AddrWidth)
 				cost += perKB(len(data), scanCostPerKB)
 			}
 			f.normHashes[comp.Name] = md5.Sum(data)
@@ -435,7 +435,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 	rep := &ModuleReport{
 		ModuleName: module,
 		TargetVM:   target.Name,
-		Base:       tf.info.Base,
+		Base:       tf.info.DllBase,
 	}
 	rep.Timing.Add(tf.timing)
 
@@ -584,7 +584,7 @@ func (c *Checker) compareComponent(a, b *fetched, compA, compB *Component) (bool
 		sb := getScratch(len(dataB))
 		copy(*sa, dataA)
 		copy(*sb, dataB)
-		normalizePairInPlace(*sa, *sb, a.info.Base, b.info.Base)
+		normalizePairInPlace(*sa, *sb, a.info.DllBase, b.info.DllBase, pairWidth(a.parsed, b.parsed))
 		dataA, dataB = *sa, *sb
 		defer putScratch(sa)
 		defer putScratch(sb)

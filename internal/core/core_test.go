@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"modchecker/internal/amd64"
 	"modchecker/internal/guest"
 	"modchecker/internal/pe"
 	"modchecker/internal/vmi"
@@ -52,6 +54,32 @@ func testPool(t testing.TB, n int) ([]*guest.Guest, []Target) {
 			Name:   g.Name(),
 			Handle: vmi.Open(g.Name(), g.Phys(), g.CR3(), profile),
 		}
+	}
+	return guests, targets
+}
+
+// testPool64 boots n simulated Windows-x64 guests from the standard 64-bit
+// disk and opens a VMI target on each with the Win7x64 profile.
+func testPool64(t testing.TB, n int) ([]*amd64.Guest64, []Target) {
+	t.Helper()
+	disk, err := amd64.BuildStandardDisk64()
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
+	guests := make([]*amd64.Guest64, n)
+	targets := make([]Target, n)
+	for i := range guests {
+		g, err := amd64.NewGuest64(amd64.Config64{
+			Name:     fmt.Sprintf("x64-%d", i+1),
+			BootSeed: int64(i+1) * 104729,
+			Disk:     disk,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		guests[i] = g
+		targets[i] = Target{Name: g.Name(), Handle: vmi.Open(g.Name(), g.Phys(), g.CR3(), profile)}
 	}
 	return guests, targets
 }

@@ -158,7 +158,6 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 	// Per-VM outcome; everything else is per leader (indexed by position in
 	// src.leaders) or per cluster.
 	errs := make([]error, n)
-	bases := make([]uint32, n)
 	clusterOf := make([]int, n) // -1: no healthy copy
 	fetchCosts := make([]time.Duration, n)
 	for i := range clusterOf {
@@ -168,6 +167,8 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 	keys := make([]string, nl) // digest cluster key; "" only in the reference cluster
 	var hit []bool             // replayed from the store, per leader
 	var hitNames [][]string    // component names replayed from the store, per leader
+	// bases[p] is leader p's load base; identity dups share their leader's.
+	bases := make([]uint64, nl)
 	var checkerWork time.Duration
 	// Buffers retained past their bookkeeping (cluster representatives, the
 	// reference) are released here; releaseFetched is a no-op for buffers
@@ -225,7 +226,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 					lc := c.charge(CostCASLookup)
 					fetchCosts[i] = lc
 					checkerWork += lc
-					bases[i] = info.Base
+					bases[p] = info.DllBase
 					hit[p] = true
 					hitNames[p] = e.Names
 					if ref < 0 {
@@ -247,7 +248,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 				errs[i] = err
 				continue
 			}
-			bases[i] = fetches[p].info.Base
+			bases[p] = fetches[p].info.DllBase
 			ref, refTok = p, toks[p]
 			clusterOf[i] = 0
 		}
@@ -284,7 +285,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 				fetches[p] = nil
 				continue
 			}
-			bases[i] = f.info.Base
+			bases[p] = f.info.DllBase
 			if ref < 0 {
 				ref = p
 				clusterOf[i] = 0
@@ -414,7 +415,6 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 	for i, l := range src.leader {
 		if l != i {
 			errs[i] = errs[l]
-			bases[i] = bases[l]
 			clusterOf[i] = clusterOf[l]
 		}
 	}
@@ -454,14 +454,16 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 	for cid, p := range reps {
 		first[cid] = src.leaders[p]
 	}
-	c.deriveClusters(rep, module, src.vms, errs, bases, clusterOf, first, repNames, repMMs)
+	baseOf := func(i int) uint64 { return bases[sort.SearchInts(src.leaders, src.leader[i])] }
+	c.deriveClusters(rep, module, src.vms, errs, baseOf, clusterOf, first, repNames, repMMs)
 	return rep, true
 }
 
 // deriveClusters fills a PoolReport from cluster structure alone. clusterOf
-// maps each VM to its cluster (-1 when errs holds its fault), first[cid] is
-// cluster cid's first member in pool order, repNames[cid] its component
-// names, and mms the representative mismatch lists by pairIndex.
+// maps each VM to its cluster (-1 when errs holds its fault), baseOf returns
+// a healthy VM's load base, first[cid] is cluster cid's first member in pool
+// order, repNames[cid] its component names, and mms the representative
+// mismatch lists by pairIndex.
 //
 // A VM's successes are its cluster's size minus itself plus every cluster
 // whose representative comparison came back clean, so verdicts cost
@@ -470,7 +472,7 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 // exactly, Pairs and MismatchedVMs included; lean mode (Config.LeanReports)
 // builds reports only for non-clean VMs and omits those two O(pool) lists —
 // alerts, verdicts, counts and tallies are the same in both modes.
-func (c *Checker) deriveClusters(rep *PoolReport, module string, vms []Target, errs []error, bases []uint32, clusterOf, first []int, repNames, mms [][]string) {
+func (c *Checker) deriveClusters(rep *PoolReport, module string, vms []Target, errs []error, baseOf func(int) uint64, clusterOf, first []int, repNames, mms [][]string) {
 	full := !c.cfg.LeanReports
 	nc := len(repNames)
 	sizes := make([]int, nc)
@@ -543,7 +545,7 @@ func (c *Checker) deriveClusters(rep *PoolReport, module string, vms []Target, e
 		r := &ModuleReport{
 			ModuleName:  module,
 			TargetVM:    name,
-			Base:        bases[i],
+			Base:        baseOf(i),
 			Successes:   succ[cid],
 			Comparisons: healthy - 1,
 			Verdict:     v,

@@ -78,7 +78,7 @@ func TestDeriveClustersMatchesPairwiseDerivation(t *testing.T) {
 		n, nc := len(errs), len(repNames)
 		cfg := Config{Quorum: QuorumPolicy{MinPeers: rng.Intn(4)}}
 		vms := make([]Target, n)
-		bases := make([]uint32, n)
+		bases := make([]uint64, n)
 		fetches := make([]*fetched, n)
 		for i := range vms {
 			vms[i] = Target{Name: fmt.Sprintf("vm%d", i)}
@@ -86,14 +86,15 @@ func TestDeriveClustersMatchesPairwiseDerivation(t *testing.T) {
 			if errs[i] != nil {
 				continue
 			}
-			bases[i] = uint32(0x10000 * (i + 1))
+			bases[i] = uint64(0x10000 * (i + 1))
 			pm := &ParsedModule{}
 			for _, name := range repNames[clusterOf[i]] {
 				pm.Components = append(pm.Components, Component{Name: name})
 			}
-			fetches[i].info = &ModuleInfo{Base: bases[i]}
+			fetches[i].info = &ModuleInfo{DllBase: bases[i]}
 			fetches[i].parsed = pm
 		}
+		baseOf := func(i int) uint64 { return bases[i] }
 		mismatches := make(map[pairKey][]string)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -110,14 +111,14 @@ func TestDeriveClustersMatchesPairwiseDerivation(t *testing.T) {
 		oracle := &PoolReport{ModuleName: "m"}
 		NewChecker(cfg).derivePool(oracle, "m", vms, fetches, mismatches)
 		full := &PoolReport{ModuleName: "m"}
-		NewChecker(cfg).deriveClusters(full, "m", vms, errs, bases, clusterOf, first, repNames, mms)
+		NewChecker(cfg).deriveClusters(full, "m", vms, errs, baseOf, clusterOf, first, repNames, mms)
 		if got, want := poolSig(full), poolSig(oracle); got != want {
 			t.Fatalf("iteration %d: cluster derivation diverges from pairwise:\n--- clusters\n%s--- pairwise\n%s", iter, got, want)
 		}
 
 		cfg.LeanReports = true
 		lean := &PoolReport{ModuleName: "m"}
-		NewChecker(cfg).deriveClusters(lean, "m", vms, errs, bases, clusterOf, first, repNames, mms)
+		NewChecker(cfg).deriveClusters(lean, "m", vms, errs, baseOf, clusterOf, first, repNames, mms)
 		if got, want := leanSig(lean), leanSig(oracle); got != want {
 			t.Fatalf("iteration %d: lean derivation diverges from pairwise:\n--- lean\n%s--- pairwise\n%s", iter, got, want)
 		}

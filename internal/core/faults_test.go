@@ -346,23 +346,55 @@ func TestPoolRobustnessProperty(t *testing.T) {
 
 // TestSearcherRejectsHostileSizeOfImage: an attacker who rewrites the LDR
 // entry's SizeOfImage to an absurd value must cause a clean failure, not a
-// multi-gigabyte allocation.
+// multi-gigabyte allocation — at either pointer width, since the x64 LDR
+// layout puts the field elsewhere but the MaxModuleSize cap is the same
+// Searcher's. Under CheckPool the hostile VM errors and its peers stay clean.
 func TestSearcherRejectsHostileSizeOfImage(t *testing.T) {
-	guests, targets := testPool(t, 1)
-	g := guests[0]
-	mod := g.Module("alpha.sys")
-	var huge [4]byte
-	binary.LittleEndian.PutUint32(huge[:], 0x7FFFFFFF)
-	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.OffSizeOfImage, huge[:]); err != nil {
-		t.Fatal(err)
+	x86 := func(t *testing.T) ([]Target, string) {
+		guests, targets := testPool(t, 3)
+		mod := guests[0].Module("alpha.sys")
+		var huge [4]byte
+		binary.LittleEndian.PutUint32(huge[:], 0x7FFFFFFF)
+		if err := guests[0].AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, huge[:]); err != nil {
+			t.Fatal(err)
+		}
+		return targets, "alpha.sys"
 	}
-	s := NewSearcher(targets[0].Handle, CopyPageWise)
-	_, _, _, err := s.FetchModule("alpha.sys")
-	if err == nil {
-		t.Fatal("hostile SizeOfImage accepted")
+	x64 := func(t *testing.T) ([]Target, string) {
+		guests, targets := testPool64(t, 3)
+		mod := guests[0].Module("hal.dll")
+		var huge [4]byte
+		binary.LittleEndian.PutUint32(huge[:], 0xFFFFF000)
+		if err := guests[0].AddressSpace().Write(mod.LdrEntryVA+uint64(nt.X64.OffSizeOfImage), huge[:]); err != nil {
+			t.Fatal(err)
+		}
+		return targets, "hal.dll"
 	}
-	if !strings.Contains(err.Error(), "SizeOfImage") {
-		t.Errorf("unexpected error: %v", err)
+	for _, width := range []struct {
+		name  string
+		setup func(*testing.T) ([]Target, string)
+	}{{"x86", x86}, {"x64", x64}} {
+		t.Run(width.name, func(t *testing.T) {
+			targets, module := width.setup(t)
+			s := NewSearcher(targets[0].Handle, CopyPageWise)
+			_, _, _, err := s.FetchModule(module)
+			if err == nil {
+				t.Fatal("hostile SizeOfImage accepted")
+			}
+			if !strings.Contains(err.Error(), "SizeOfImage") {
+				t.Errorf("unexpected error: %v", err)
+			}
+			rep, err := NewChecker(Config{}).CheckPool(module, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := rep.Report(targets[0].Name); r == nil || r.Verdict != VerdictError {
+				t.Errorf("hostile VM report %+v", r)
+			}
+			if len(rep.Flagged) != 0 || rep.Healthy != len(targets)-1 {
+				t.Errorf("flagged=%v healthy=%d", rep.Flagged, rep.Healthy)
+			}
+		})
 	}
 }
 
@@ -370,7 +402,7 @@ func TestSearcherRejectsZeroSizeOfImage(t *testing.T) {
 	guests, targets := testPool(t, 1)
 	g := guests[0]
 	mod := g.Module("alpha.sys")
-	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.OffSizeOfImage, []byte{0, 0, 0, 0}); err != nil {
+	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, []byte{0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewSearcher(targets[0].Handle, CopyPageWise)
@@ -390,7 +422,7 @@ func TestCheckPoolHostileLdrShrink(t *testing.T) {
 	// Shrink by one page: section data near the end is cut off.
 	var shrunk [4]byte
 	binary.LittleEndian.PutUint32(shrunk[:], mod.SizeOfImage-mm.PageSize)
-	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.OffSizeOfImage, shrunk[:]); err != nil {
+	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, shrunk[:]); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := NewChecker(Config{}).CheckPool("alpha.sys", targets)

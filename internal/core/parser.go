@@ -59,9 +59,33 @@ type Component struct {
 type ParsedModule struct {
 	VMName     string
 	ModuleName string
-	Base       uint32 // load base on this VM
+	Base       uint64 // load base on this VM
+	// AddrWidth is the byte width of an absolute address in the image: 4
+	// for PE32, 8 for PE32+. Algorithm 2 rewrites fields of this width.
+	AddrWidth  int
 	Components []Component
 	Raw        []byte // the full in-memory module image
+}
+
+// Address is a guest load base at either pointer width.
+type Address interface{ uint32 | uint64 }
+
+// optionalHeader is what the optional-header magic decides: the header's
+// size, its component name and the image's address width.
+type optionalHeader struct {
+	size  uint32
+	name  string
+	width int
+}
+
+// optionalHeaderFor returns the PE32+ layout for the PE32+ magic and the
+// PE32 layout for anything else, so a corrupted magic on a 32-bit image
+// still parses and surfaces as a header mismatch.
+func optionalHeaderFor(magic uint16) optionalHeader {
+	if magic == pe.OptionalMagic64 {
+		return optionalHeader{pe.OptionalHeader64Size, "IMAGE_OPTIONAL_HEADER64", 8}
+	}
+	return optionalHeader{pe.OptionalHeader32Size, "IMAGE_OPTIONAL_HEADER", 4}
 }
 
 // Component returns the named component, or nil.
@@ -87,8 +111,10 @@ const parseCostPerKB = 500 * time.Nanosecond
 //
 // Unlike pe.Parse (which decodes on-disk files by PointerToRawData), this
 // parser indexes by RVA, because Module-Searcher hands it the *loaded*
-// image.
-func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedModule, time.Duration, error) {
+// image. OptionalHeader.Magic selects PE32 or PE32+, and with it the
+// optional header's size and the width of the image's absolute addresses;
+// a SizeOfOptionalHeader that disagrees with the magic is rejected.
+func ParseModule[A Address](vmName, moduleName string, base A, buf []byte) (*ParsedModule, time.Duration, error) {
 	cost := time.Duration(len(buf)/1024+1) * parseCostPerKB
 	le := binary.LittleEndian
 	fail := func(format string, args ...any) (*ParsedModule, time.Duration, error) {
@@ -101,15 +127,19 @@ func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedMod
 		return fail("bad DOS magic %#04x", le.Uint16(buf[0:]))
 	}
 	lfanew := le.Uint32(buf[0x3C:])
-	ntEnd := uint64(lfanew) + 4 + pe.FileHeaderSize + pe.OptionalHeader32Size
-	if lfanew < pe.DOSHeaderSize || ntEnd > uint64(len(buf)) {
+	magicOff := uint64(lfanew) + 4 + pe.FileHeaderSize
+	if lfanew < pe.DOSHeaderSize || magicOff+2 > uint64(len(buf)) {
+		return fail("e_lfanew %#x out of range", lfanew)
+	}
+	opt := optionalHeaderFor(le.Uint16(buf[magicOff:]))
+	if magicOff+uint64(opt.size) > uint64(len(buf)) {
 		return fail("e_lfanew %#x out of range", lfanew)
 	}
 	if le.Uint32(buf[lfanew:]) != pe.NTSignature {
 		return fail("bad NT signature %#08x", le.Uint32(buf[lfanew:]))
 	}
 
-	m := &ParsedModule{VMName: vmName, ModuleName: moduleName, Base: base, Raw: buf}
+	m := &ParsedModule{VMName: vmName, ModuleName: moduleName, Base: uint64(base), AddrWidth: opt.width, Raw: buf}
 
 	// IMAGE_DOS_HEADER component: header plus stub, i.e. everything before
 	// the NT headers. Experiment E3 (stub text patch) must surface here.
@@ -121,13 +151,13 @@ func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedMod
 
 	numSections := le.Uint16(buf[fileOff+2:])
 	sizeOfOptional := le.Uint16(buf[fileOff+16:])
-	if sizeOfOptional != pe.OptionalHeader32Size {
-		return fail("SizeOfOptionalHeader %d, want %d", sizeOfOptional, pe.OptionalHeader32Size)
+	if uint32(sizeOfOptional) != opt.size {
+		return fail("SizeOfOptionalHeader %d, want %d", sizeOfOptional, opt.size)
 	}
 	optOff := fileOff + pe.FileHeaderSize
-	m.add(Component{Kind: KindOptionalHeader, Name: "IMAGE_OPTIONAL_HEADER", Data: buf[optOff : optOff+pe.OptionalHeader32Size]})
+	m.add(Component{Kind: KindOptionalHeader, Name: opt.name, Data: buf[optOff : optOff+opt.size]})
 
-	secOff := optOff + pe.OptionalHeader32Size
+	secOff := optOff + opt.size
 	if uint64(secOff)+uint64(numSections)*pe.SectionHeaderSize > uint64(len(buf)) {
 		return fail("section table for %d sections exceeds module size", numSections)
 	}

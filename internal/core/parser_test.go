@@ -131,7 +131,7 @@ func TestParseRejectsBadNTSig(t *testing.T) {
 }
 
 func TestParseRejectsTiny(t *testing.T) {
-	if _, _, err := ParseModule("vm", "x", 0, make([]byte, 16)); err == nil {
+	if _, _, err := ParseModule("vm", "x", uint32(0), make([]byte, 16)); err == nil {
 		t.Error("16-byte module parsed")
 	}
 }

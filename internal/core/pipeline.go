@@ -269,7 +269,7 @@ func (c *Checker) digestAgainst(ref, f *fetched) (string, time.Duration) {
 			sb := getScratch(len(refData))
 			copy(*sa, data)
 			copy(*sb, refData)
-			normalizePairInPlace(*sa, *sb, f.info.Base, ref.info.Base)
+			normalizePairInPlace(*sa, *sb, f.info.DllBase, ref.info.DllBase, pairWidth(f.parsed, ref.parsed))
 			cost += perKB(len(*sa)+len(*sb), hashCostPerKB)
 			writePart(comp.Name, len(*sa), md5.Sum(*sa))
 			writePart("", len(*sb), md5.Sum(*sb))

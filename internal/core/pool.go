@@ -129,7 +129,7 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, fetch
 			continue
 		}
 		rep.Healthy++
-		r.Base = fetches[i].info.Base
+		r.Base = fetches[i].info.DllBase
 		tallies := make(map[string]*ComponentTally)
 		var order []string
 		for _, name := range componentNames(fetches[i]) {

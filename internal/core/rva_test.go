@@ -47,7 +47,7 @@ func buildPair(seed int64, size int, nAddrs int, base1, base2 uint32) (d1, d2 []
 }
 
 func TestNormalizePairRecoversIdentity(t *testing.T) {
-	const base1, base2 = 0xF8CC2000, 0xF8D0C000 // the paper's Figure 4 bases
+	const base1, base2 uint32 = 0xF8CC2000, 0xF8D0C000 // the paper's Figure 4 bases
 	d1, d2, sites := buildPair(1, 4096, 40, base1, base2)
 	n1, n2, found := NormalizePair(d1, d2, base1, base2)
 	if !bytes.Equal(n1, n2) {
@@ -70,7 +70,7 @@ func TestNormalizePairDoesNotMutateInputs(t *testing.T) {
 	d1, d2, _ := buildPair(2, 1024, 10, 0xF8CC2000, 0xF8D0C000)
 	c1 := append([]byte(nil), d1...)
 	c2 := append([]byte(nil), d2...)
-	NormalizePair(d1, d2, 0xF8CC2000, 0xF8D0C000)
+	NormalizePair(d1, d2, uint32(0xF8CC2000), 0xF8D0C000)
 	if !bytes.Equal(d1, c1) || !bytes.Equal(d2, c2) {
 		t.Error("inputs mutated")
 	}
@@ -78,7 +78,7 @@ func TestNormalizePairDoesNotMutateInputs(t *testing.T) {
 
 func TestNormalizePairIdenticalBases(t *testing.T) {
 	d1, d2, _ := buildPair(3, 1024, 10, 0xF8CC2000, 0xF8CC2000)
-	n1, n2, sites := NormalizePair(d1, d2, 0xF8CC2000, 0xF8CC2000)
+	n1, n2, sites := NormalizePair(d1, d2, uint32(0xF8CC2000), 0xF8CC2000)
 	if sites != nil {
 		t.Errorf("sites rewritten with identical bases: %v", sites)
 	}
@@ -88,7 +88,7 @@ func TestNormalizePairIdenticalBases(t *testing.T) {
 }
 
 func TestNormalizePairPreservesTampering(t *testing.T) {
-	const base1, base2 = 0xF8CC2000, 0xF8D0C000
+	const base1, base2 uint32 = 0xF8CC2000, 0xF8D0C000
 	d1, d2, _ := buildPair(4, 4096, 30, base1, base2)
 	// Tamper a non-address byte in copy 1 (the E1 scenario).
 	off := 100
@@ -139,7 +139,7 @@ func TestNormalizePairOffsetBases(t *testing.T) {
 }
 
 func TestNormalizePairAddressAtSectionEdges(t *testing.T) {
-	const base1, base2 = 0xF8CC2000, 0xF8D0C000
+	const base1, base2 uint32 = 0xF8CC2000, 0xF8D0C000
 	le := binary.LittleEndian
 	d1 := make([]byte, 64)
 	d2 := make([]byte, 64)
@@ -158,7 +158,7 @@ func TestNormalizePairAddressAtSectionEdges(t *testing.T) {
 }
 
 func TestNormalizePairDifferentLengths(t *testing.T) {
-	const base1, base2 = 0xF8CC2000, 0xF8D0C000
+	const base1, base2 uint32 = 0xF8CC2000, 0xF8D0C000
 	d1, d2, _ := buildPair(6, 1024, 10, base1, base2)
 	short := d2[:512]
 	// Must not panic; comparison proceeds over the common prefix.
@@ -175,7 +175,7 @@ func TestNormalizePairDifferentLengths(t *testing.T) {
 // implementation uses. This test pins the corrected behavior: scanning
 // terminates and consecutive addresses are each processed exactly once.
 func TestAlgorithm2PaperLine22Quirk(t *testing.T) {
-	const base1, base2 = 0xF8CC2000, 0xF8D0C000
+	const base1, base2 uint32 = 0xF8CC2000, 0xF8D0C000
 	le := binary.LittleEndian
 	// Two adjacent address fields, back to back: the buggy advance would
 	// re-scan the first field's bytes.
@@ -309,7 +309,7 @@ func TestNormalizeWithRelocsEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comps[i] = ApplyRelocNormalization(m.Component(".text"), sites, info.Base)
+		comps[i] = ApplyRelocNormalization(m.Component(".text"), sites, info.DllBase, m.AddrWidth)
 	}
 	if !bytes.Equal(comps[0], comps[1]) {
 		t.Error("reloc-table normalization did not converge across VMs")
@@ -331,5 +331,76 @@ func TestNormalizeWithRelocsNoDirectory(t *testing.T) {
 	sites, err := NormalizeWithRelocs(mem)
 	if err != nil || sites != nil {
 		t.Errorf("got %v, %v", sites, err)
+	}
+}
+
+// x64Base1 and x64Base2 are two x64 driver-area load bases; their first
+// differing byte lies in the low half.
+const x64Base1, x64Base2 uint64 = 0xFFFFF88001234000, 0xFFFFF88004562000
+
+// normalizePair64Identity builds a 256-byte section laid out at both x64
+// bases, with 8-byte absolute addresses of RVA 0x5000 at offsets 8, 64 and
+// 248.
+func normalizePair64Identity() (d1, d2 []byte) {
+	le := binary.LittleEndian
+	d1 = make([]byte, 256)
+	d2 = make([]byte, 256)
+	for i := range d1 {
+		d1[i] = byte(i)
+		d2[i] = byte(i)
+	}
+	for _, off := range []int{8, 64, 248} {
+		le.PutUint64(d1[off:], x64Base1+0x5000)
+		le.PutUint64(d2[off:], x64Base2+0x5000)
+	}
+	return d1, d2
+}
+
+// TestNormalizePair64Identity is Algorithm 2 at the 8-byte width: every
+// DIR64 field is found and rewritten whole to its RVA.
+func TestNormalizePair64Identity(t *testing.T) {
+	d1, d2 := normalizePair64Identity()
+	n1, n2, sites := NormalizePair(d1, d2, x64Base1, x64Base2)
+	if !bytes.Equal(n1, n2) {
+		t.Fatal("not normalized")
+	}
+	if len(sites) != 3 {
+		t.Errorf("sites = %v", sites)
+	}
+	for _, s := range sites {
+		if got := binary.LittleEndian.Uint64(n1[s:]); got != 0x5000 {
+			t.Errorf("site %#x holds %#x, want RVA 0x5000", s, got)
+		}
+	}
+}
+
+// TestNormalizePair64PreservesTamper: a lone differing byte that does not
+// decode to a common RVA survives 8-byte normalization.
+func TestNormalizePair64PreservesTamper(t *testing.T) {
+	d1 := make([]byte, 128)
+	d2 := make([]byte, 128)
+	d1[77] = 0xCC // tampered byte
+	n1, n2, _ := NormalizePair(d1, d2, x64Base1, x64Base2)
+	if bytes.Equal(n1, n2) {
+		t.Error("tamper normalized away")
+	}
+}
+
+// TestNormalizePair64HighHalfBases: x64 bases that differ only above bit 32
+// are still told apart — the 8-byte width scans all eight base bytes, where
+// a 4-byte scan would see identical bases and rewrite nothing.
+func TestNormalizePair64HighHalfBases(t *testing.T) {
+	const b1, b2 uint64 = 0xFFFFF88001234000, 0xFFFFF8A001234000
+	le := binary.LittleEndian
+	d1 := make([]byte, 64)
+	d2 := make([]byte, 64)
+	le.PutUint64(d1[16:], b1+0x1230)
+	le.PutUint64(d2[16:], b2+0x1230)
+	n1, n2, sites := NormalizePair(d1, d2, b1, b2)
+	if !bytes.Equal(n1, n2) || len(sites) != 1 || sites[0] != 16 {
+		t.Fatalf("sites %v, equal %v", sites, bytes.Equal(n1, n2))
+	}
+	if got := le.Uint64(n1[16:]); got != 0x1230 {
+		t.Errorf("rewritten to %#x", got)
 	}
 }

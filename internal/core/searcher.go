@@ -130,14 +130,18 @@ const (
 )
 
 // ModuleInfo describes one entry of the guest's loaded-module list as
-// recovered purely through introspection.
+// recovered purely through introspection. Addresses are guest VAs at
+// either pointer width.
 type ModuleInfo struct {
 	Name        string
 	FullName    string
-	Base        uint32 // DllBase
+	DllBase     uint64 // load base
+	EntryPoint  uint64
+	LdrEntryVA  uint64
 	SizeOfImage uint32
-	EntryPoint  uint32
-	LdrEntryVA  uint32
+	// Base is DllBase truncated to 32 bits: the whole base on a 32-bit
+	// guest, kept for callers that store bases as uint32.
+	Base uint32
 }
 
 // Searcher is ModChecker's Module-Searcher: the only component that touches
@@ -164,7 +168,8 @@ func (s *Searcher) WithRetry(p RetryPolicy) *Searcher {
 // ListModules walks the guest's PsLoadedModuleList and returns every
 // module, in load order. It performs the same pointer chase the paper
 // describes: resolve the PsLoadedModuleList symbol, follow FLINK through
-// each LDR_DATA_TABLE_ENTRY until the walk returns to the list head.
+// each LDR_DATA_TABLE_ENTRY until the walk returns to the list head. The
+// handle decodes every entry in its profile's layout (x86 or x64).
 func (s *Searcher) ListModules() ([]ModuleInfo, error) {
 	headVA, err := s.h.SymbolVA("PsLoadedModuleList")
 	if err != nil {
@@ -196,10 +201,11 @@ func (s *Searcher) ListModules() ([]ModuleInfo, error) {
 		out = append(out, ModuleInfo{
 			Name:        name,
 			FullName:    full,
-			Base:        entry.DllBase,
+			DllBase:     entry.DllBase,
 			SizeOfImage: entry.SizeOfImage,
 			EntryPoint:  entry.EntryPoint,
 			LdrEntryVA:  cur,
+			Base:        uint32(entry.DllBase),
 		})
 		cur = entry.InLoadOrderLinks.Flink
 	}
@@ -250,17 +256,17 @@ func (s *Searcher) CopyModule(info *ModuleInfo) ([]byte, error) {
 		if s.retry.VerifyReads {
 			return s.copyMappedVerified(info)
 		}
-		return s.h.MapRange(info.Base, info.SizeOfImage)
+		return s.h.MapRange(info.DllBase, info.SizeOfImage)
 	default:
 		buf := getFetchBuf(int(info.SizeOfImage))
 		if s.retry.VerifyReads {
-			if _, err := s.h.ReadVAConsistent(info.Base, buf, verifyPasses); err != nil {
+			if _, err := s.h.ReadVAConsistent(info.DllBase, buf, verifyPasses); err != nil {
 				putFetchBuf(buf)
 				return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
 			}
 			return buf, nil
 		}
-		if err := s.h.ReadVA(info.Base, buf); err != nil {
+		if err := s.h.ReadVA(info.DllBase, buf); err != nil {
 			putFetchBuf(buf)
 			return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
 		}
@@ -273,12 +279,12 @@ func (s *Searcher) CopyModule(info *ModuleInfo) ([]byte, error) {
 //
 //modown:borrowed forwards MapRange views
 func (s *Searcher) copyMappedVerified(info *ModuleInfo) ([]byte, error) {
-	prev, err := s.h.MapRange(info.Base, info.SizeOfImage)
+	prev, err := s.h.MapRange(info.DllBase, info.SizeOfImage)
 	if err != nil {
 		return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
 	}
 	for pass := 2; pass <= verifyPasses; pass++ {
-		cur, err := s.h.MapRange(info.Base, info.SizeOfImage)
+		cur, err := s.h.MapRange(info.DllBase, info.SizeOfImage)
 		if err != nil {
 			return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
 		}

@@ -36,7 +36,7 @@ func TestListModulesMatchesGroundTruth(t *testing.T) {
 			t.Errorf("%s: introspected base/size %#x/%#x, guest truth %#x/%#x",
 				want.Name, got.Base, got.SizeOfImage, want.Base, want.SizeOfImage)
 		}
-		if got.LdrEntryVA != want.LdrEntryVA {
+		if got.LdrEntryVA != uint64(want.LdrEntryVA) {
 			t.Errorf("%s: LDR entry VA %#x, want %#x", want.Name, got.LdrEntryVA, want.LdrEntryVA)
 		}
 	}
@@ -143,7 +143,7 @@ func TestSearcherDetectsLoopedList(t *testing.T) {
 	// Point the last module's FLINK back at the first module, bypassing
 	// the list head sentinel.
 	first, last := mods[0], mods[len(mods)-1]
-	le := nt.EncodeListEntry(nt.ListEntry{Flink: first.LdrEntryVA, Blink: 0})
+	le := nt.X86.EncodeListEntry(nt.ListEntry{Flink: uint64(first.LdrEntryVA), Blink: 0})
 	if err := g.AddressSpace().Write(last.LdrEntryVA, le[:4]); err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestSearcherUnlinkedModuleInvisible(t *testing.T) {
 	g := guests[0]
 	mod := g.Module("alpha.sys")
 	// DKOM-style unlink performed by the "attacker" inside the guest.
-	raw := make([]byte, nt.LdrDataTableEntrySize)
+	raw := make([]byte, nt.X86.LdrEntrySize)
 	g.AddressSpace().Read(mod.LdrEntryVA, raw)
-	e, _ := nt.DecodeLdrDataTableEntry(raw)
-	g.AddressSpace().Write(e.InLoadOrderLinks.Blink, nt.EncodeListEntry(nt.ListEntry{
+	e, _ := nt.X86.DecodeLdrEntry(raw)
+	g.AddressSpace().Write(uint32(e.InLoadOrderLinks.Blink), nt.X86.EncodeListEntry(nt.ListEntry{
 		Flink: e.InLoadOrderLinks.Flink,
-		Blink: mustBlinkOf(t, g, e.InLoadOrderLinks.Blink),
+		Blink: mustBlinkOf(t, g, uint32(e.InLoadOrderLinks.Blink)),
 	}))
-	g.AddressSpace().Write(e.InLoadOrderLinks.Flink+4, encodeU32(e.InLoadOrderLinks.Blink))
+	g.AddressSpace().Write(uint32(e.InLoadOrderLinks.Flink)+4, encodeU32(uint32(e.InLoadOrderLinks.Blink)))
 
 	s := NewSearcher(targets[0].Handle, CopyPageWise)
 	if _, err := s.FindModule("alpha.sys"); !errors.Is(err, ErrModuleNotFound) {
@@ -176,13 +176,13 @@ func TestSearcherUnlinkedModuleInvisible(t *testing.T) {
 	}
 }
 
-func mustBlinkOf(t *testing.T, g *guest.Guest, va uint32) uint32 {
+func mustBlinkOf(t *testing.T, g *guest.Guest, va uint32) uint64 {
 	t.Helper()
-	b := make([]byte, nt.ListEntrySize)
+	b := make([]byte, nt.X86.ListEntrySize())
 	if err := g.AddressSpace().Read(va, b); err != nil {
 		t.Fatal(err)
 	}
-	le, _ := nt.DecodeListEntry(b)
+	le, _ := nt.X86.DecodeListEntry(b)
 	return le.Blink
 }
 

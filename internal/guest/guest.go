@@ -129,7 +129,7 @@ func New(cfg Config) (*Guest, error) {
 		return nil, fmt.Errorf("guest %q: mapping kernel globals: %w", cfg.Name, err)
 	}
 	head := nt.ListEntry{Flink: PsLoadedModuleListVA, Blink: PsLoadedModuleListVA}
-	if err := as.Write(PsLoadedModuleListVA, nt.EncodeListEntry(head)); err != nil {
+	if err := as.Write(PsLoadedModuleListVA, nt.X86.EncodeListEntry(head)); err != nil {
 		return nil, err
 	}
 

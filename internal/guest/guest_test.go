@@ -99,29 +99,29 @@ func TestPsLoadedModuleListStructure(t *testing.T) {
 	g := newGuest(t, "vm1", 3)
 	as := g.AddressSpace()
 
-	readList := func(va uint32) nt.ListEntry {
-		b := make([]byte, nt.ListEntrySize)
-		if err := as.Read(va, b); err != nil {
+	readList := func(va uint64) nt.ListEntry {
+		b := make([]byte, nt.X86.ListEntrySize())
+		if err := as.Read(uint32(va), b); err != nil {
 			t.Fatalf("read LIST_ENTRY at %#x: %v", va, err)
 		}
-		le, _ := nt.DecodeListEntry(b)
+		le, _ := nt.X86.DecodeListEntry(b)
 		return le
 	}
 
 	head := readList(PsLoadedModuleListVA)
 	var names []string
-	var entries []uint32
+	var entries []uint64
 	for cur := head.Flink; cur != PsLoadedModuleListVA; {
-		raw := make([]byte, nt.LdrDataTableEntrySize)
-		if err := as.Read(cur, raw); err != nil {
+		raw := make([]byte, nt.X86.LdrEntrySize)
+		if err := as.Read(uint32(cur), raw); err != nil {
 			t.Fatal(err)
 		}
-		e, err := nt.DecodeLdrDataTableEntry(raw)
+		e, err := nt.X86.DecodeLdrEntry(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nameBuf := make([]byte, e.BaseDllName.Length)
-		if err := as.Read(e.BaseDllName.Buffer, nameBuf); err != nil {
+		if err := as.Read(uint32(e.BaseDllName.Buffer), nameBuf); err != nil {
 			t.Fatal(err)
 		}
 		name, _ := nt.DecodeUTF16(nameBuf)
@@ -134,7 +134,7 @@ func TestPsLoadedModuleListStructure(t *testing.T) {
 	}
 
 	// Backward walk must visit the same entries in reverse.
-	var back []uint32
+	var back []uint64
 	for cur := head.Blink; cur != PsLoadedModuleListVA; {
 		back = append(back, cur)
 		le := readList(cur)
@@ -214,14 +214,14 @@ func TestUnloadRemovesFromList(t *testing.T) {
 	}
 	// The in-memory list must now contain only beta.sys.
 	as := g.AddressSpace()
-	b := make([]byte, nt.ListEntrySize)
+	b := make([]byte, nt.X86.ListEntrySize())
 	as.Read(PsLoadedModuleListVA, b)
-	head, _ := nt.DecodeListEntry(b)
+	head, _ := nt.X86.DecodeListEntry(b)
 	count := 0
 	for cur := head.Flink; cur != PsLoadedModuleListVA; count++ {
-		raw := make([]byte, nt.LdrDataTableEntrySize)
-		as.Read(cur, raw)
-		e, _ := nt.DecodeLdrDataTableEntry(raw)
+		raw := make([]byte, nt.X86.LdrEntrySize)
+		as.Read(uint32(cur), raw)
+		e, _ := nt.X86.DecodeLdrEntry(raw)
 		cur = e.InLoadOrderLinks.Flink
 	}
 	if count != 1 {

@@ -86,7 +86,7 @@ func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
 	if err := g.as.Write(fullBufVA, fullBuf); err != nil {
 		return err
 	}
-	entryVA, err := g.pool.alloc(nt.LdrDataTableEntrySize, 8)
+	entryVA, err := g.pool.alloc(nt.X86.LdrEntrySize, 8)
 	if err != nil {
 		return err
 	}
@@ -98,27 +98,27 @@ func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
 	}
 	entry := nt.LdrDataTableEntry{
 		InLoadOrderLinks: nt.ListEntry{Flink: PsLoadedModuleListVA, Blink: head.Blink},
-		DllBase:          mod.Base,
-		EntryPoint:       mod.EntryPoint,
+		DllBase:          uint64(mod.Base),
+		EntryPoint:       uint64(mod.EntryPoint),
 		SizeOfImage:      mod.SizeOfImage,
 		FullDllName: nt.UnicodeString{
 			Length:        uint16(len(fullBuf)),
 			MaximumLength: uint16(len(fullBuf)),
-			Buffer:        fullBufVA,
+			Buffer:        uint64(fullBufVA),
 		},
 		BaseDllName: nt.UnicodeString{
 			Length:        uint16(len(baseBuf)),
 			MaximumLength: uint16(len(baseBuf)),
-			Buffer:        baseBufVA,
+			Buffer:        uint64(baseBufVA),
 		},
 		Flags:     0x09004000, // LDRP_ENTRY_PROCESSED | image-dll bits, as XP sets
 		LoadCount: 1,
 	}
-	if err := g.as.Write(entryVA, entry.Encode()); err != nil {
+	if err := g.as.Write(entryVA, nt.X86.EncodeLdrEntry(&entry)); err != nil {
 		return err
 	}
 	// tail.Flink = entry
-	if err := g.writeListFlink(head.Blink, entryVA); err != nil {
+	if err := g.writeListFlink(uint32(head.Blink), entryVA); err != nil {
 		return err
 	}
 	// head.Blink = entry
@@ -138,15 +138,15 @@ func (g *Guest) UnloadModule(name string) error {
 	if !ok {
 		return fmt.Errorf("guest %q: module %s not loaded", g.name, name)
 	}
-	links, err := g.readListEntry(mod.LdrEntryVA + nt.OffInLoadOrderLinks)
+	links, err := g.readListEntry(mod.LdrEntryVA + nt.X86.OffInLoadOrderLinks)
 	if err != nil {
 		return err
 	}
 	// RemoveEntryList: Blink.Flink = Flink; Flink.Blink = Blink.
-	if err := g.writeListFlink(links.Blink, links.Flink); err != nil {
+	if err := g.writeListFlink(uint32(links.Blink), uint32(links.Flink)); err != nil {
 		return err
 	}
-	if err := g.writeListBlink(links.Flink, links.Blink); err != nil {
+	if err := g.writeListBlink(uint32(links.Flink), uint32(links.Blink)); err != nil {
 		return err
 	}
 	if err := g.as.UnmapAndFree(mod.Base, mod.SizeOfImage); err != nil {
@@ -158,11 +158,11 @@ func (g *Guest) UnloadModule(name string) error {
 }
 
 func (g *Guest) readListEntry(va uint32) (nt.ListEntry, error) {
-	b := make([]byte, nt.ListEntrySize)
+	b := make([]byte, nt.X86.ListEntrySize())
 	if err := g.as.Read(va, b); err != nil {
 		return nt.ListEntry{}, err
 	}
-	return nt.DecodeListEntry(b)
+	return nt.X86.DecodeListEntry(b)
 }
 
 func (g *Guest) writeListFlink(entryVA, flink uint32) error {
@@ -170,8 +170,8 @@ func (g *Guest) writeListFlink(entryVA, flink uint32) error {
 	if err != nil {
 		return err
 	}
-	le.Flink = flink
-	return g.as.Write(entryVA, nt.EncodeListEntry(le))
+	le.Flink = uint64(flink)
+	return g.as.Write(entryVA, nt.X86.EncodeListEntry(le))
 }
 
 func (g *Guest) writeListBlink(entryVA, blink uint32) error {
@@ -179,6 +179,6 @@ func (g *Guest) writeListBlink(entryVA, blink uint32) error {
 	if err != nil {
 		return err
 	}
-	le.Blink = blink
-	return g.as.Write(entryVA, nt.EncodeListEntry(le))
+	le.Blink = uint64(blink)
+	return g.as.Write(entryVA, nt.X86.EncodeListEntry(le))
 }

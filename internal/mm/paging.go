@@ -148,7 +148,7 @@ func (as *AddressSpace) Translate(va uint32) (uint32, error) {
 // Read copies len(b) bytes from virtual address va, walking the page tables
 // for each page touched.
 func (as *AddressSpace) Read(va uint32, b []byte) error {
-	return readVirtual(as.mem, as.cr3, va, b)
+	return ReadVirtual(as.mem, as.cr3, va, b)
 }
 
 // Write copies b to virtual address va page by page.
@@ -199,16 +199,88 @@ func WalkPageTables(mem PhysReader, cr3, va uint32) (uint32, error) {
 	return (pte &^ (PageSize - 1)) | (va & (PageSize - 1)), nil
 }
 
-// readVirtual reads len(b) bytes from va using an external page-table walk,
-// shared by AddressSpace.Read and the VMI layer.
-func readVirtual(mem PhysReader, cr3, va uint32, b []byte) error {
+// x86-64 four-level paging: 8-byte entries, 512 per table (9 bits of VA
+// per level), and 48-bit canonical virtual addresses (bits 47..63 sign
+// extended). Physical addresses stay 32-bit, like the frames they name.
+const (
+	entriesPerTable64 = 512
+	frameMask64       = 0x000FFFFFFFFFF000
+)
+
+// Canonical64 reports whether va is a canonical 48-bit x86-64 address.
+func Canonical64(va uint64) bool {
+	top := va >> 47
+	return top == 0 || top == 0x1FFFF
+}
+
+// PTIndex64 extracts the 9-bit table index of va at level (3 = PML4 .. 0 =
+// PT).
+func PTIndex64(va uint64, level uint) uint32 {
+	return uint32(va>>(PageShift+9*level)) & (entriesPerTable64 - 1)
+}
+
+// ReadPTE64 reads the 8-byte page-table entry at pa.
+func ReadPTE64(mem PhysReader, pa uint32) (uint64, error) {
+	var b [8]byte
+	if err := mem.ReadPhys(pa, b[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// PTEFrame64 returns the physical frame address an 8-byte entry points at.
+func PTEFrame64(entry uint64) uint32 { return uint32(entry & frameMask64) }
+
+// WalkPageTables64 translates a 64-bit guest VA by walking the PML4, PDPT,
+// PD and PT out of raw physical memory: the four-level counterpart of
+// WalkPageTables, performed from outside the guest the same way.
+//
+//modsafe:spends four-level page-table walk
+func WalkPageTables64(mem PhysReader, cr3 uint32, va uint64) (uint32, error) {
+	if !Canonical64(va) {
+		return 0, fmt.Errorf("%w: non-canonical va %#x", ErrUnmapped, va)
+	}
+	tablePA := cr3
+	for level := uint(3); ; level-- {
+		entry, err := ReadPTE64(mem, tablePA+PTIndex64(va, level)*8)
+		if err != nil {
+			return 0, err
+		}
+		if entry&PtePresent == 0 {
+			return 0, fmt.Errorf("%w: va %#x (level %d entry not present)", ErrUnmapped, va, level)
+		}
+		if level == 0 {
+			return PTEFrame64(entry) | uint32(va&(PageSize-1)), nil
+		}
+		tablePA = PTEFrame64(entry)
+	}
+}
+
+// ReadVirtual reads len(b) bytes from va through an external two-level
+// walk per page: introspection clients translate and read entirely through
+// the PhysReader, never through guest-side state.
+func ReadVirtual(mem PhysReader, cr3, va uint32, b []byte) error {
+	return readPages(mem, uint64(va), b, func(va uint64) (uint32, error) {
+		return WalkPageTables(mem, cr3, uint32(va))
+	})
+}
+
+// ReadVirtual64 is ReadVirtual over four-level x86-64 tables.
+func ReadVirtual64(mem PhysReader, cr3 uint32, va uint64, b []byte) error {
+	return readPages(mem, va, b, func(va uint64) (uint32, error) {
+		return WalkPageTables64(mem, cr3, va)
+	})
+}
+
+// readPages copies len(b) bytes from va page by page, translating each page
+// with walk.
+func readPages(mem PhysReader, va uint64, b []byte, walk func(uint64) (uint32, error)) error {
 	for len(b) > 0 {
-		pa, err := WalkPageTables(mem, cr3, va)
+		pa, err := walk(va)
 		if err != nil {
 			return err
 		}
-		off := va & (PageSize - 1)
-		n := PageSize - off
+		n := PageSize - uint32(va&(PageSize-1))
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
@@ -216,14 +288,7 @@ func readVirtual(mem PhysReader, cr3, va uint32, b []byte) error {
 			return err
 		}
 		b = b[n:]
-		va += n
+		va += uint64(n)
 	}
 	return nil
-}
-
-// ReadVirtual is the exported form of readVirtual for introspection
-// clients: it translates and reads entirely through the PhysReader, never
-// through guest-side state.
-func ReadVirtual(mem PhysReader, cr3, va uint32, b []byte) error {
-	return readVirtual(mem, cr3, va, b)
 }

@@ -4,9 +4,12 @@
 // PsLoadedModuleList convention that links loaded kernel modules into a
 // doubly linked list (paper Figure 2).
 //
-// The offsets match 32-bit Windows XP SP2. Structures are encoded to and
-// decoded from raw byte slices; callers move those bytes through guest
-// memory (the guest kernel when booting, the VMI layer when introspecting).
+// One codec serves both pointer widths: a Layout is the offset table of one
+// width, X86 for 32-bit Windows XP SP2 and X64 for 64-bit Windows 7.
+// Pointer fields are carried as uint64 in the decoded structures and
+// written at the layout's width. Structures are encoded to and decoded from
+// raw byte slices; callers move those bytes through guest memory (the guest
+// kernel when booting, the VMI layer when introspecting).
 package nt
 
 import (
@@ -15,29 +18,69 @@ import (
 	"unicode/utf16"
 )
 
-// Structure sizes and field offsets (32-bit XP SP2 layouts).
-const (
-	// ListEntrySize is sizeof(LIST_ENTRY): Flink + Blink pointers.
-	ListEntrySize = 8
-	// UnicodeStringSize is sizeof(UNICODE_STRING).
-	UnicodeStringSize = 8
-	// LdrDataTableEntrySize is the portion of LDR_DATA_TABLE_ENTRY the
-	// loader list machinery uses (through TlsIndex, padded to 0x50).
-	LdrDataTableEntrySize = 0x50
+// Layout is the offset table of one pointer width: where each field of
+// LDR_DATA_TABLE_ENTRY sits and how wide a pointer is. LIST_ENTRY is two
+// pointers; UNICODE_STRING is two 16-bit lengths padded to pointer
+// alignment, then the Buffer pointer.
+type Layout struct {
+	// PtrSize is the pointer width in bytes (4 or 8).
+	PtrSize int
+	// LdrEntrySize is the portion of LDR_DATA_TABLE_ENTRY the loader list
+	// machinery uses (through TlsIndex, padded).
+	LdrEntrySize uint32
 
 	// Field offsets within LDR_DATA_TABLE_ENTRY.
-	OffInLoadOrderLinks   = 0x00
-	OffInMemoryOrderLinks = 0x08
-	OffInInitOrderLinks   = 0x10
-	OffDllBase            = 0x18
-	OffEntryPoint         = 0x1C
-	OffSizeOfImage        = 0x20
-	OffFullDllName        = 0x24
-	OffBaseDllName        = 0x2C
-	OffFlags              = 0x34
-	OffLoadCount          = 0x38
-	OffTlsIndex           = 0x3A
+	OffInLoadOrderLinks   uint32
+	OffInMemoryOrderLinks uint32
+	OffInInitOrderLinks   uint32
+	OffDllBase            uint32
+	OffEntryPoint         uint32
+	OffSizeOfImage        uint32
+	OffFullDllName        uint32
+	OffBaseDllName        uint32
+	OffFlags              uint32
+	OffLoadCount          uint32
+	OffTlsIndex           uint32
+}
+
+// The two layouts: 32-bit XP SP2 and 64-bit Windows 7.
+var (
+	X86 = &Layout{
+		PtrSize: 4, LdrEntrySize: 0x50,
+		OffInLoadOrderLinks: 0x00, OffInMemoryOrderLinks: 0x08, OffInInitOrderLinks: 0x10,
+		OffDllBase: 0x18, OffEntryPoint: 0x1C, OffSizeOfImage: 0x20,
+		OffFullDllName: 0x24, OffBaseDllName: 0x2C,
+		OffFlags: 0x34, OffLoadCount: 0x38, OffTlsIndex: 0x3A,
+	}
+	X64 = &Layout{
+		PtrSize: 8, LdrEntrySize: 0x70,
+		OffInLoadOrderLinks: 0x00, OffInMemoryOrderLinks: 0x10, OffInInitOrderLinks: 0x20,
+		OffDllBase: 0x30, OffEntryPoint: 0x38, OffSizeOfImage: 0x40,
+		OffFullDllName: 0x48, OffBaseDllName: 0x58,
+		OffFlags: 0x68, OffLoadCount: 0x6C, OffTlsIndex: 0x6E,
+	}
 )
+
+// ListEntrySize is sizeof(LIST_ENTRY): Flink + Blink pointers.
+func (l *Layout) ListEntrySize() int { return 2 * l.PtrSize }
+
+// UnicodeStringSize is sizeof(UNICODE_STRING).
+func (l *Layout) UnicodeStringSize() int { return 2 * l.PtrSize }
+
+func (l *Layout) ptr(b []byte) uint64 {
+	if l.PtrSize == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return uint64(binary.LittleEndian.Uint32(b))
+}
+
+func (l *Layout) putPtr(b []byte, v uint64) {
+	if l.PtrSize == 8 {
+		binary.LittleEndian.PutUint64(b, v)
+		return
+	}
+	binary.LittleEndian.PutUint32(b, uint32(v))
+}
 
 // ListEntry is LIST_ENTRY: the forward (FLINK) and backward (BLINK)
 // pointers of an intrusive doubly linked list. In PsLoadedModuleList each
@@ -46,27 +89,24 @@ const (
 // though for loader entries the field is at offset 0, the distinction
 // matters for code reading other lists).
 type ListEntry struct {
-	Flink uint32
-	Blink uint32
+	Flink uint64
+	Blink uint64
 }
 
-// EncodeListEntry serializes e into an 8-byte little-endian buffer.
-func EncodeListEntry(e ListEntry) []byte {
-	b := make([]byte, ListEntrySize)
-	binary.LittleEndian.PutUint32(b[0:], e.Flink)
-	binary.LittleEndian.PutUint32(b[4:], e.Blink)
+// EncodeListEntry serializes e at the layout's pointer width.
+func (l *Layout) EncodeListEntry(e ListEntry) []byte {
+	b := make([]byte, l.ListEntrySize())
+	l.putPtr(b, e.Flink)
+	l.putPtr(b[l.PtrSize:], e.Blink)
 	return b
 }
 
-// DecodeListEntry parses an 8-byte LIST_ENTRY.
-func DecodeListEntry(b []byte) (ListEntry, error) {
-	if len(b) < ListEntrySize {
-		return ListEntry{}, fmt.Errorf("nt: LIST_ENTRY needs %d bytes, have %d", ListEntrySize, len(b))
+// DecodeListEntry parses a LIST_ENTRY.
+func (l *Layout) DecodeListEntry(b []byte) (ListEntry, error) {
+	if len(b) < l.ListEntrySize() {
+		return ListEntry{}, fmt.Errorf("nt: LIST_ENTRY needs %d bytes, have %d", l.ListEntrySize(), len(b))
 	}
-	return ListEntry{
-		Flink: binary.LittleEndian.Uint32(b[0:]),
-		Blink: binary.LittleEndian.Uint32(b[4:]),
-	}, nil
+	return ListEntry{Flink: l.ptr(b), Blink: l.ptr(b[l.PtrSize:])}, nil
 }
 
 // UnicodeString is UNICODE_STRING: a counted UTF-16LE string. Length and
@@ -74,27 +114,27 @@ func DecodeListEntry(b []byte) (ListEntry, error) {
 type UnicodeString struct {
 	Length        uint16
 	MaximumLength uint16
-	Buffer        uint32
+	Buffer        uint64
 }
 
-// EncodeUnicodeString serializes s into an 8-byte buffer.
-func EncodeUnicodeString(s UnicodeString) []byte {
-	b := make([]byte, UnicodeStringSize)
+// EncodeUnicodeString serializes s at the layout's pointer width.
+func (l *Layout) EncodeUnicodeString(s UnicodeString) []byte {
+	b := make([]byte, l.UnicodeStringSize())
 	binary.LittleEndian.PutUint16(b[0:], s.Length)
 	binary.LittleEndian.PutUint16(b[2:], s.MaximumLength)
-	binary.LittleEndian.PutUint32(b[4:], s.Buffer)
+	l.putPtr(b[l.PtrSize:], s.Buffer)
 	return b
 }
 
-// DecodeUnicodeString parses an 8-byte UNICODE_STRING header.
-func DecodeUnicodeString(b []byte) (UnicodeString, error) {
-	if len(b) < UnicodeStringSize {
-		return UnicodeString{}, fmt.Errorf("nt: UNICODE_STRING needs %d bytes, have %d", UnicodeStringSize, len(b))
+// DecodeUnicodeString parses a UNICODE_STRING header.
+func (l *Layout) DecodeUnicodeString(b []byte) (UnicodeString, error) {
+	if len(b) < l.UnicodeStringSize() {
+		return UnicodeString{}, fmt.Errorf("nt: UNICODE_STRING needs %d bytes, have %d", l.UnicodeStringSize(), len(b))
 	}
 	return UnicodeString{
 		Length:        binary.LittleEndian.Uint16(b[0:]),
 		MaximumLength: binary.LittleEndian.Uint16(b[2:]),
-		Buffer:        binary.LittleEndian.Uint32(b[4:]),
+		Buffer:        l.ptr(b[l.PtrSize:]),
 	}, nil
 }
 
@@ -129,8 +169,8 @@ type LdrDataTableEntry struct {
 	InLoadOrderLinks           ListEntry
 	InMemoryOrderLinks         ListEntry
 	InInitializationOrderLinks ListEntry
-	DllBase                    uint32 // guest VA of the module's first byte
-	EntryPoint                 uint32
+	DllBase                    uint64 // guest VA of the module's first byte
+	EntryPoint                 uint64
 	SizeOfImage                uint32
 	FullDllName                UnicodeString
 	BaseDllName                UnicodeString
@@ -139,52 +179,43 @@ type LdrDataTableEntry struct {
 	TlsIndex                   uint16
 }
 
-// Encode serializes the entry into LdrDataTableEntrySize bytes.
-func (e *LdrDataTableEntry) Encode() []byte {
-	b := make([]byte, LdrDataTableEntrySize)
-	copy(b[OffInLoadOrderLinks:], EncodeListEntry(e.InLoadOrderLinks))
-	copy(b[OffInMemoryOrderLinks:], EncodeListEntry(e.InMemoryOrderLinks))
-	copy(b[OffInInitOrderLinks:], EncodeListEntry(e.InInitializationOrderLinks))
-	binary.LittleEndian.PutUint32(b[OffDllBase:], e.DllBase)
-	binary.LittleEndian.PutUint32(b[OffEntryPoint:], e.EntryPoint)
-	binary.LittleEndian.PutUint32(b[OffSizeOfImage:], e.SizeOfImage)
-	copy(b[OffFullDllName:], EncodeUnicodeString(e.FullDllName))
-	copy(b[OffBaseDllName:], EncodeUnicodeString(e.BaseDllName))
-	binary.LittleEndian.PutUint32(b[OffFlags:], e.Flags)
-	binary.LittleEndian.PutUint16(b[OffLoadCount:], e.LoadCount)
-	binary.LittleEndian.PutUint16(b[OffTlsIndex:], e.TlsIndex)
+// EncodeLdrEntry serializes the entry into LdrEntrySize bytes.
+func (l *Layout) EncodeLdrEntry(e *LdrDataTableEntry) []byte {
+	b := make([]byte, l.LdrEntrySize)
+	copy(b[l.OffInLoadOrderLinks:], l.EncodeListEntry(e.InLoadOrderLinks))
+	copy(b[l.OffInMemoryOrderLinks:], l.EncodeListEntry(e.InMemoryOrderLinks))
+	copy(b[l.OffInInitOrderLinks:], l.EncodeListEntry(e.InInitializationOrderLinks))
+	l.putPtr(b[l.OffDllBase:], e.DllBase)
+	l.putPtr(b[l.OffEntryPoint:], e.EntryPoint)
+	binary.LittleEndian.PutUint32(b[l.OffSizeOfImage:], e.SizeOfImage)
+	copy(b[l.OffFullDllName:], l.EncodeUnicodeString(e.FullDllName))
+	copy(b[l.OffBaseDllName:], l.EncodeUnicodeString(e.BaseDllName))
+	binary.LittleEndian.PutUint32(b[l.OffFlags:], e.Flags)
+	binary.LittleEndian.PutUint16(b[l.OffLoadCount:], e.LoadCount)
+	binary.LittleEndian.PutUint16(b[l.OffTlsIndex:], e.TlsIndex)
 	return b
 }
 
-// DecodeLdrDataTableEntry parses an LDR_DATA_TABLE_ENTRY from raw guest
-// bytes.
-func DecodeLdrDataTableEntry(b []byte) (*LdrDataTableEntry, error) {
-	if len(b) < LdrDataTableEntrySize {
-		return nil, fmt.Errorf("nt: LDR_DATA_TABLE_ENTRY needs %#x bytes, have %#x",
-			LdrDataTableEntrySize, len(b))
+// DecodeLdrEntry parses an LDR_DATA_TABLE_ENTRY from raw guest bytes. The
+// entry is returned by value: the Searcher decodes one per loaded module
+// per VM per sweep, and none of them needs to outlive the walk.
+func (l *Layout) DecodeLdrEntry(b []byte) (LdrDataTableEntry, error) {
+	if len(b) < int(l.LdrEntrySize) {
+		return LdrDataTableEntry{}, fmt.Errorf("nt: LDR_DATA_TABLE_ENTRY needs %#x bytes, have %#x", l.LdrEntrySize, len(b))
 	}
-	var e LdrDataTableEntry
-	var err error
-	if e.InLoadOrderLinks, err = DecodeListEntry(b[OffInLoadOrderLinks:]); err != nil {
-		return nil, err
+	// The length check covers every field below.
+	e := LdrDataTableEntry{
+		DllBase:     l.ptr(b[l.OffDllBase:]),
+		EntryPoint:  l.ptr(b[l.OffEntryPoint:]),
+		SizeOfImage: binary.LittleEndian.Uint32(b[l.OffSizeOfImage:]),
+		Flags:       binary.LittleEndian.Uint32(b[l.OffFlags:]),
+		LoadCount:   binary.LittleEndian.Uint16(b[l.OffLoadCount:]),
+		TlsIndex:    binary.LittleEndian.Uint16(b[l.OffTlsIndex:]),
 	}
-	if e.InMemoryOrderLinks, err = DecodeListEntry(b[OffInMemoryOrderLinks:]); err != nil {
-		return nil, err
-	}
-	if e.InInitializationOrderLinks, err = DecodeListEntry(b[OffInInitOrderLinks:]); err != nil {
-		return nil, err
-	}
-	e.DllBase = binary.LittleEndian.Uint32(b[OffDllBase:])
-	e.EntryPoint = binary.LittleEndian.Uint32(b[OffEntryPoint:])
-	e.SizeOfImage = binary.LittleEndian.Uint32(b[OffSizeOfImage:])
-	if e.FullDllName, err = DecodeUnicodeString(b[OffFullDllName:]); err != nil {
-		return nil, err
-	}
-	if e.BaseDllName, err = DecodeUnicodeString(b[OffBaseDllName:]); err != nil {
-		return nil, err
-	}
-	e.Flags = binary.LittleEndian.Uint32(b[OffFlags:])
-	e.LoadCount = binary.LittleEndian.Uint16(b[OffLoadCount:])
-	e.TlsIndex = binary.LittleEndian.Uint16(b[OffTlsIndex:])
-	return &e, nil
+	e.InLoadOrderLinks, _ = l.DecodeListEntry(b[l.OffInLoadOrderLinks:])
+	e.InMemoryOrderLinks, _ = l.DecodeListEntry(b[l.OffInMemoryOrderLinks:])
+	e.InInitializationOrderLinks, _ = l.DecodeListEntry(b[l.OffInInitOrderLinks:])
+	e.FullDllName, _ = l.DecodeUnicodeString(b[l.OffFullDllName:])
+	e.BaseDllName, _ = l.DecodeUnicodeString(b[l.OffBaseDllName:])
+	return e, nil
 }

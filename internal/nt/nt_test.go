@@ -9,11 +9,11 @@ import (
 
 func TestListEntryRoundTrip(t *testing.T) {
 	e := ListEntry{Flink: 0x8055A420, Blink: 0x81234568}
-	b := EncodeListEntry(e)
-	if len(b) != ListEntrySize {
+	b := X86.EncodeListEntry(e)
+	if len(b) != X86.ListEntrySize() {
 		t.Fatalf("encoded %d bytes", len(b))
 	}
-	back, err := DecodeListEntry(b)
+	back, err := X86.DecodeListEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestListEntryRoundTrip(t *testing.T) {
 }
 
 func TestListEntryLayout(t *testing.T) {
-	b := EncodeListEntry(ListEntry{Flink: 0x11223344, Blink: 0x55667788})
+	b := X86.EncodeListEntry(ListEntry{Flink: 0x11223344, Blink: 0x55667788})
 	if binary.LittleEndian.Uint32(b[0:]) != 0x11223344 {
 		t.Error("FLINK not at offset 0")
 	}
@@ -33,14 +33,14 @@ func TestListEntryLayout(t *testing.T) {
 }
 
 func TestListEntryShortBuffer(t *testing.T) {
-	if _, err := DecodeListEntry(make([]byte, 7)); err == nil {
+	if _, err := X86.DecodeListEntry(make([]byte, 7)); err == nil {
 		t.Error("7-byte LIST_ENTRY decoded")
 	}
 }
 
 func TestUnicodeStringRoundTrip(t *testing.T) {
 	s := UnicodeString{Length: 14, MaximumLength: 16, Buffer: 0x81001000}
-	back, err := DecodeUnicodeString(EncodeUnicodeString(s))
+	back, err := X86.DecodeUnicodeString(X86.EncodeUnicodeString(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestUnicodeStringRoundTrip(t *testing.T) {
 }
 
 func TestUnicodeStringShortBuffer(t *testing.T) {
-	if _, err := DecodeUnicodeString(make([]byte, 4)); err == nil {
+	if _, err := X86.DecodeUnicodeString(make([]byte, 4)); err == nil {
 		t.Error("4-byte UNICODE_STRING decoded")
 	}
 }
@@ -96,16 +96,16 @@ func TestLdrEntryRoundTrip(t *testing.T) {
 		LoadCount:                  1,
 		TlsIndex:                   0xFFFF,
 	}
-	b := e.Encode()
-	if len(b) != LdrDataTableEntrySize {
+	b := X86.EncodeLdrEntry(&e)
+	if len(b) != int(X86.LdrEntrySize) {
 		t.Fatalf("encoded %d bytes", len(b))
 	}
-	back, err := DecodeLdrDataTableEntry(b)
+	back, err := X86.DecodeLdrEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *back != e {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", *back, e)
+	if back != e {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, e)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestLdrEntryXPOffsets(t *testing.T) {
 		SizeOfImage: 0x55667788,
 		BaseDllName: UnicodeString{Length: 0x1234, MaximumLength: 0x5678, Buffer: 0x9ABCDEF0},
 	}
-	b := e.Encode()
+	b := X86.EncodeLdrEntry(&e)
 	le := binary.LittleEndian
 	if got := le.Uint32(b[0x18:]); got != 0xAABBCCDD {
 		t.Errorf("DllBase at 0x18 = %#x", got)
@@ -137,8 +137,42 @@ func TestLdrEntryXPOffsets(t *testing.T) {
 	}
 }
 
+// TestLdrEntryX64Offsets pins the x64 table: 8-byte pointers, DllBase at
+// 0x30, SizeOfImage at 0x40, and UNICODE_STRING buffers padded to 8-byte
+// alignment (BaseDllName.Buffer at 0x60).
+func TestLdrEntryX64Offsets(t *testing.T) {
+	e := LdrDataTableEntry{
+		InLoadOrderLinks: ListEntry{Flink: 0xFFFFF8A000000100, Blink: 0xFFFFF80001A45680},
+		DllBase:          0xFFFFF88001234000,
+		EntryPoint:       0xFFFFF88001235010,
+		SizeOfImage:      0x24000,
+		BaseDllName:      UnicodeString{Length: 14, MaximumLength: 14, Buffer: 0xFFFFF8A000000200},
+	}
+	b := X64.EncodeLdrEntry(&e)
+	le := binary.LittleEndian
+	if len(b) != 0x70 || le.Uint64(b[0x08:]) != e.InLoadOrderLinks.Blink {
+		t.Fatalf("encoded %d bytes, Blink %#x", len(b), le.Uint64(b[0x08:]))
+	}
+	if got := le.Uint64(b[0x30:]); got != e.DllBase {
+		t.Errorf("DllBase at 0x30 = %#x", got)
+	}
+	if got := le.Uint32(b[0x40:]); got != e.SizeOfImage {
+		t.Errorf("SizeOfImage at 0x40 = %#x", got)
+	}
+	if got := le.Uint64(b[0x60:]); got != e.BaseDllName.Buffer {
+		t.Errorf("BaseDllName.Buffer at 0x60 = %#x", got)
+	}
+	back, err := X64.DecodeLdrEntry(b)
+	if err != nil || back != e {
+		t.Errorf("round trip: %+v, %v", back, err)
+	}
+	if _, err := X64.DecodeLdrEntry(b[:0x6F]); err == nil {
+		t.Error("short x64 LDR entry decoded")
+	}
+}
+
 func TestLdrEntryShortBuffer(t *testing.T) {
-	if _, err := DecodeLdrDataTableEntry(make([]byte, LdrDataTableEntrySize-1)); err == nil {
+	if _, err := X86.DecodeLdrEntry(make([]byte, X86.LdrEntrySize-1)); err == nil {
 		t.Error("short LDR entry decoded")
 	}
 }
@@ -146,11 +180,11 @@ func TestLdrEntryShortBuffer(t *testing.T) {
 func TestLdrEntryQuick(t *testing.T) {
 	f := func(base, entry, size, flags uint32, load, tls uint16) bool {
 		e := LdrDataTableEntry{
-			DllBase: base, EntryPoint: entry, SizeOfImage: size,
+			DllBase: uint64(base), EntryPoint: uint64(entry), SizeOfImage: size,
 			Flags: flags, LoadCount: load, TlsIndex: tls,
 		}
-		back, err := DecodeLdrDataTableEntry(e.Encode())
-		return err == nil && *back == e
+		back, err := X86.DecodeLdrEntry(X86.EncodeLdrEntry(&e))
+		return err == nil && back == e
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

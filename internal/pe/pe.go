@@ -27,9 +27,13 @@ const (
 	NTSignature = 0x00004550
 	// OptionalMagic32 is the IMAGE_NT_OPTIONAL_HDR32_MAGIC for PE32 images.
 	OptionalMagic32 = 0x010B
+	// OptionalMagic64 is the IMAGE_NT_OPTIONAL_HDR64_MAGIC for PE32+ images.
+	OptionalMagic64 = 0x020B
 
 	// MachineI386 identifies 32-bit x86 images.
 	MachineI386 = 0x014C
+	// MachineAMD64 identifies x86-64 images.
+	MachineAMD64 = 0x8664
 
 	// DOSHeaderSize is the size in bytes of IMAGE_DOS_HEADER.
 	DOSHeaderSize = 64
@@ -38,6 +42,9 @@ const (
 	// OptionalHeader32Size is the size in bytes of IMAGE_OPTIONAL_HEADER32
 	// with the full complement of 16 data directories.
 	OptionalHeader32Size = 224
+	// OptionalHeader64Size is the size in bytes of IMAGE_OPTIONAL_HEADER64:
+	// 64-bit ImageBase and stack/heap sizes, no BaseOfData.
+	OptionalHeader64Size = 240
 	// SectionHeaderSize is the size in bytes of IMAGE_SECTION_HEADER.
 	SectionHeaderSize = 40
 	// NumDataDirectories is IMAGE_NUMBEROF_DIRECTORY_ENTRIES.

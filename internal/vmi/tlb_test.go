@@ -25,7 +25,7 @@ func chargedOpen(t testing.TB, total *time.Duration, extra ...Option) *Handle {
 func TestTranslationCacheHit(t *testing.T) {
 	g := testGuest(t)
 	h := open(t, g)
-	base := g.Module("alpha.sys").Base
+	base := uint64(g.Module("alpha.sys").Base)
 	buf := make([]byte, 64)
 	if err := h.ReadVA(base, buf); err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestTranslationCacheHit(t *testing.T) {
 func TestTranslationCacheHitCost(t *testing.T) {
 	var total time.Duration
 	h := chargedOpen(t, &total)
-	base := uint32(0)
+	base := uint64(0)
 	// Find a module base via the handle's own guest: reuse symbol resolution
 	// instead (PsLoadedModuleList head page is mapped).
 	headVA, err := h.SymbolVA("PsLoadedModuleList")
@@ -75,7 +75,7 @@ func TestTranslationCacheHitCost(t *testing.T) {
 func TestWithoutTranslationCache(t *testing.T) {
 	g := testGuest(t)
 	h := open(t, g, WithoutTranslationCache())
-	base := g.Module("alpha.sys").Base
+	base := uint64(g.Module("alpha.sys").Base)
 	buf := make([]byte, 8)
 	for i := 0; i < 3; i++ {
 		if err := h.ReadVA(base, buf); err != nil {
@@ -91,7 +91,7 @@ func TestWithoutTranslationCache(t *testing.T) {
 func TestInvalidateTranslations(t *testing.T) {
 	g := testGuest(t)
 	h := open(t, g)
-	base := g.Module("alpha.sys").Base
+	base := uint64(g.Module("alpha.sys").Base)
 	buf := make([]byte, 8)
 	if err := h.ReadVA(base, buf); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestEpochInvalidation(t *testing.T) {
 	g := testGuest(t)
 	var epoch atomic.Uint64
 	h := open(t, g, WithInvalidation(epoch.Load))
-	base := g.Module("alpha.sys").Base
+	base := uint64(g.Module("alpha.sys").Base)
 	buf := make([]byte, 8)
 	if err := h.ReadVA(base, buf); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestSharedStatsAggregate(t *testing.T) {
 	var shared SharedStats
 	h1 := open(t, g, WithSharedStats(&shared))
 	h2 := open(t, g, WithSharedStats(&shared))
-	base := g.Module("alpha.sys").Base
+	base := uint64(g.Module("alpha.sys").Base)
 	buf := make([]byte, mm.PageSize)
 	if err := h1.ReadVA(base, buf); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,12 @@
 // any cooperation from the guest.
 //
 // A Handle is opened per target VM with the guest's physical memory, its
-// CR3 and an OS Profile (symbol map). Virtual reads perform a genuine
-// external page-table walk per page touched — introspection never consults
-// guest-side software state, only the raw bytes the hypervisor exposes.
+// CR3 and an OS Profile (symbol map and pointer width). Virtual reads
+// perform a genuine external page-table walk per page touched — two-level
+// x86 or four-level x86-64 tables, as the profile's width dictates —
+// introspection never consults guest-side software state, only the raw
+// bytes the hypervisor exposes. Guest virtual addresses are 64-bit at
+// either width; physical addresses stay 32-bit.
 // Handles are strictly read-only, matching ModChecker's design (paper
 // Section III-B: "through introspection it performs read-only operations
 // of the memory of guest VMs").
@@ -21,6 +24,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -34,6 +38,9 @@ import (
 // Magnitudes are calibrated to libVMI-era measurements: mapping and copying
 // one guest page from Dom0 costs tens of microseconds, a software page-table
 // walk a few.
+//
+// A translation costs one CostPTWalk whether it walks two levels (x86) or
+// four (x86-64): the model charges the walk, not its depth.
 const (
 	CostPageRead = 25 * time.Microsecond
 	CostPTWalk   = 3 * time.Microsecond
@@ -85,21 +92,41 @@ func putShadow(sp *[]byte) {
 }
 
 // Profile carries what libVMI reads from its OS config: which operating
-// system the guest runs and where its exported globals live. All VMs cloned
-// from one installation share a profile.
+// system the guest runs, its kernel's pointer width, and where its exported
+// globals live. All VMs cloned from one installation share a profile. The
+// pointer width fixes the paging mode (two-level x86 for 4, four-level
+// x86-64 for 8) and the kernel structure layout (nt.X86 or nt.X64).
 type Profile struct {
 	OSName  string
-	Symbols map[string]uint32
+	PtrSize int
+	Symbols map[string]uint64
+}
+
+// Layout returns the kernel structure layout of the profile's width.
+func (p Profile) Layout() *nt.Layout {
+	if p.PtrSize == 8 {
+		return nt.X64
+	}
+	return nt.X86
 }
 
 // XPSP2Profile returns the profile for the simulated 32-bit Windows XP SP2
 // guests built by internal/guest.
 func XPSP2Profile(psLoadedModuleList uint32) Profile {
 	return Profile{
-		OSName: "WinXPSP2x86",
-		Symbols: map[string]uint32{
-			"PsLoadedModuleList": psLoadedModuleList,
-		},
+		OSName:  "WinXPSP2x86",
+		PtrSize: 4,
+		Symbols: map[string]uint64{"PsLoadedModuleList": uint64(psLoadedModuleList)},
+	}
+}
+
+// Win7x64Profile returns the profile for the simulated 64-bit Windows 7
+// guests built by internal/amd64.
+func Win7x64Profile(psLoadedModuleList uint64) Profile {
+	return Profile{
+		OSName:  "Win7SP1x64",
+		PtrSize: 8,
+		Symbols: map[string]uint64{"PsLoadedModuleList": psLoadedModuleList},
 	}
 }
 
@@ -163,6 +190,7 @@ type Handle struct {
 	mem     mm.PhysReader
 	cr3     uint32
 	profile Profile
+	layout  *nt.Layout
 	charge  func(time.Duration)
 	shared  *SharedStats
 	epoch   func() uint64 // mapping-epoch source; nil = never invalidated
@@ -175,9 +203,13 @@ type Handle struct {
 	bytesRead   metrics.Counter
 	mapSetups   metrics.Counter
 
+	// The software TLB, VPN -> PFN. A 32-bit guest's VPN fits in 32 bits,
+	// so its cache keeps the narrower key and half the memory per entry;
+	// only 64-bit handles fill tlb64.
 	tlbMu  sync.Mutex
-	tlb    map[uint32]uint32 // VPN -> PFN; the software TLB
-	tlbGen uint64            // epoch value the TLB was filled under
+	tlb32  map[uint32]uint32
+	tlb64  map[uint64]uint32
+	tlbGen uint64 // epoch value the TLB was filled under
 }
 
 // Option configures a Handle.
@@ -215,7 +247,7 @@ func WithoutTranslationCache() Option {
 // Open creates a handle on a VM given the hypervisor-exposed physical
 // memory, the vCPU's CR3 and the OS profile.
 func Open(vmName string, mem mm.PhysReader, cr3 uint32, profile Profile, opts ...Option) *Handle {
-	h := &Handle{vmName: vmName, mem: mem, cr3: cr3, profile: profile}
+	h := &Handle{vmName: vmName, mem: mem, cr3: cr3, profile: profile, layout: profile.Layout()}
 	for _, o := range opts {
 		o(h)
 	}
@@ -248,7 +280,7 @@ func (h *Handle) pay(d time.Duration) {
 }
 
 // SymbolVA resolves a profile symbol to its guest VA.
-func (h *Handle) SymbolVA(name string) (uint32, error) {
+func (h *Handle) SymbolVA(name string) (uint64, error) {
 	va, ok := h.profile.Symbols[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrSymbol, name)
@@ -265,25 +297,38 @@ func (h *Handle) SymbolVA(name string) (uint32, error) {
 // never survive a guest-state rollback.
 //
 //modsafe:spends page-table walk or TLB fill
-func (h *Handle) Translate(va uint32) (uint32, error) {
+func (h *Handle) Translate(va uint64) (uint32, error) {
 	if pfn, ok := h.tlbLookup(va); ok {
 		h.tlbHits.Add(1)
 		if h.shared != nil {
 			h.shared.tlbHits.Add(1)
 		}
 		h.pay(CostTLBHit)
-		return pfn<<mm.PageShift | va&(mm.PageSize-1), nil
+		return pfn<<mm.PageShift | uint32(va&(mm.PageSize-1)), nil
 	}
 	h.ptWalks.Add(1)
 	if h.shared != nil {
 		h.shared.ptWalks.Add(1)
 	}
 	h.pay(CostPTWalk)
-	pa, err := mm.WalkPageTables(h.mem, h.cr3, va)
+	pa, err := h.walk(va)
 	if err == nil {
 		h.tlbInsert(va, pa)
 	}
 	return pa, err
+}
+
+// walk translates va through the guest's own page tables: four levels on a
+// 64-bit profile, two on a 32-bit one, where an address past 4 GiB cannot
+// exist.
+func (h *Handle) walk(va uint64) (uint32, error) {
+	if h.layout.PtrSize == 8 {
+		return mm.WalkPageTables64(h.mem, h.cr3, va)
+	}
+	if va > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: va %#x beyond the 32-bit address space", mm.ErrUnmapped, va)
+	}
+	return mm.WalkPageTables(h.mem, h.cr3, uint32(va))
 }
 
 // InvalidateTranslations drops every cached translation. Reads after the
@@ -291,12 +336,12 @@ func (h *Handle) Translate(va uint32) (uint32, error) {
 func (h *Handle) InvalidateTranslations() {
 	h.tlbMu.Lock()
 	defer h.tlbMu.Unlock()
-	h.tlb = nil
+	h.tlb32, h.tlb64 = nil, nil
 }
 
 // tlbLookup consults the software TLB, flushing it first if the mapping
 // epoch moved since it was filled.
-func (h *Handle) tlbLookup(va uint32) (uint32, bool) {
+func (h *Handle) tlbLookup(va uint64) (uint32, bool) {
 	if h.noTLB {
 		return 0, false
 	}
@@ -307,19 +352,23 @@ func (h *Handle) tlbLookup(va uint32) (uint32, bool) {
 	h.tlbMu.Lock()
 	defer h.tlbMu.Unlock()
 	if gen != h.tlbGen {
-		h.tlb = nil
+		h.tlb32, h.tlb64 = nil, nil
 		h.tlbGen = gen
 	}
-	if h.tlb == nil {
+	if h.layout.PtrSize == 8 {
+		pfn, ok := h.tlb64[va>>mm.PageShift]
+		return pfn, ok
+	}
+	if va > math.MaxUint32 {
 		return 0, false
 	}
-	pfn, ok := h.tlb[va>>mm.PageShift]
+	pfn, ok := h.tlb32[uint32(va>>mm.PageShift)]
 	return pfn, ok
 }
 
 // tlbInsert caches a completed translation, unless the mapping epoch moved
 // while the walk was in flight (the walk may have read superseded tables).
-func (h *Handle) tlbInsert(va, pa uint32) {
+func (h *Handle) tlbInsert(va uint64, pa uint32) {
 	if h.noTLB {
 		return
 	}
@@ -330,14 +379,21 @@ func (h *Handle) tlbInsert(va, pa uint32) {
 	h.tlbMu.Lock()
 	defer h.tlbMu.Unlock()
 	if gen != h.tlbGen {
-		h.tlb = nil
+		h.tlb32, h.tlb64 = nil, nil
 		h.tlbGen = gen
 		return
 	}
-	if h.tlb == nil {
-		h.tlb = make(map[uint32]uint32)
+	if h.layout.PtrSize == 8 {
+		if h.tlb64 == nil {
+			h.tlb64 = make(map[uint64]uint32)
+		}
+		h.tlb64[va>>mm.PageShift] = pa >> mm.PageShift
+		return
 	}
-	h.tlb[va>>mm.PageShift] = pa >> mm.PageShift
+	if h.tlb32 == nil {
+		h.tlb32 = make(map[uint32]uint32)
+	}
+	h.tlb32[uint32(va>>mm.PageShift)] = pa >> mm.PageShift
 }
 
 // ReadVA copies len(b) bytes of guest virtual memory starting at va. The
@@ -346,14 +402,13 @@ func (h *Handle) tlbInsert(va, pa uint32) {
 // dominant cost.
 //
 //modsafe:spends page-wise physical reads
-func (h *Handle) ReadVA(va uint32, b []byte) error {
+func (h *Handle) ReadVA(va uint64, b []byte) error {
 	for len(b) > 0 {
 		pa, err := h.Translate(va)
 		if err != nil {
 			return fmt.Errorf("vmi %s: read at %#x: %w", h.vmName, va, err)
 		}
-		off := va & (mm.PageSize - 1)
-		n := uint32(mm.PageSize - off)
+		n := mm.PageSize - uint32(va&(mm.PageSize-1))
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
@@ -368,7 +423,7 @@ func (h *Handle) ReadVA(va uint32, b []byte) error {
 		}
 		h.pay(CostPageRead)
 		b = b[n:]
-		va += n
+		va += uint64(n)
 	}
 	return nil
 }
@@ -384,7 +439,7 @@ func (h *Handle) ReadVA(va uint32, b []byte) error {
 // so maxPasses is clamped to 2.
 //
 //modsafe:spends multi-pass physical reads
-func (h *Handle) ReadVAConsistent(va uint32, b []byte, maxPasses int) (int, error) {
+func (h *Handle) ReadVAConsistent(va uint64, b []byte, maxPasses int) (int, error) {
 	if maxPasses < 2 {
 		maxPasses = 2
 	}
@@ -416,7 +471,7 @@ func (h *Handle) ReadVAConsistent(va uint32, b []byte, maxPasses int) (int, erro
 //
 //modsafe:spends batched mapping setup and physical reads
 //modown:borrowed callers treat the mapping as a zero-copy hypervisor view
-func (h *Handle) MapRange(va, size uint32) ([]byte, error) {
+func (h *Handle) MapRange(va uint64, size uint32) ([]byte, error) {
 	h.mapSetups.Add(1)
 	if h.shared != nil {
 		h.shared.mapSetups.Add(1)
@@ -432,8 +487,7 @@ func (h *Handle) MapRange(va, size uint32) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vmi %s: map at %#x: %w", h.vmName, va, err)
 		}
-		off := va & (mm.PageSize - 1)
-		n := uint32(mm.PageSize - off)
+		n := mm.PageSize - uint32(va&(mm.PageSize-1))
 		if int(n) > len(b) {
 			n = uint32(len(b))
 		}
@@ -450,7 +504,7 @@ func (h *Handle) MapRange(va, size uint32) ([]byte, error) {
 		}
 		h.pay(CostMappedPage)
 		b = b[n:]
-		va += n
+		va += uint64(n)
 	}
 	return out, nil
 }
@@ -458,7 +512,7 @@ func (h *Handle) MapRange(va, size uint32) ([]byte, error) {
 // ReadU32 reads a little-endian 32-bit value at va.
 //
 //modsafe:spends guest virtual read
-func (h *Handle) ReadU32(va uint32) (uint32, error) {
+func (h *Handle) ReadU32(va uint64) (uint32, error) {
 	var b [4]byte
 	if err := h.ReadVA(va, b[:]); err != nil {
 		return 0, err
@@ -466,38 +520,38 @@ func (h *Handle) ReadU32(va uint32) (uint32, error) {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
 }
 
-// ReadListEntry reads a LIST_ENTRY at va.
+// ReadListEntry reads a LIST_ENTRY at va in the profile's layout.
 //
 //modsafe:spends guest virtual read
-func (h *Handle) ReadListEntry(va uint32) (nt.ListEntry, error) {
-	b := make([]byte, nt.ListEntrySize)
+func (h *Handle) ReadListEntry(va uint64) (nt.ListEntry, error) {
+	b := make([]byte, h.layout.ListEntrySize())
 	if err := h.ReadVA(va, b); err != nil {
 		return nt.ListEntry{}, err
 	}
-	return nt.DecodeListEntry(b)
+	return h.layout.DecodeListEntry(b)
 }
 
-// ReadLdrEntry reads an LDR_DATA_TABLE_ENTRY at va.
+// ReadLdrEntry reads an LDR_DATA_TABLE_ENTRY at va in the profile's layout.
 //
 //modsafe:spends guest virtual read
-func (h *Handle) ReadLdrEntry(va uint32) (*nt.LdrDataTableEntry, error) {
-	b := make([]byte, nt.LdrDataTableEntrySize)
+func (h *Handle) ReadLdrEntry(va uint64) (nt.LdrDataTableEntry, error) {
+	b := make([]byte, h.layout.LdrEntrySize)
 	if err := h.ReadVA(va, b); err != nil {
-		return nil, err
+		return nt.LdrDataTableEntry{}, err
 	}
-	return nt.DecodeLdrDataTableEntry(b)
+	return h.layout.DecodeLdrEntry(b)
 }
 
 // ReadUnicodeString reads a UNICODE_STRING at va and then its buffer,
 // returning the decoded Go string.
 //
 //modsafe:spends guest virtual reads
-func (h *Handle) ReadUnicodeString(va uint32) (string, error) {
-	b := make([]byte, nt.UnicodeStringSize)
+func (h *Handle) ReadUnicodeString(va uint64) (string, error) {
+	b := make([]byte, h.layout.UnicodeStringSize())
 	if err := h.ReadVA(va, b); err != nil {
 		return "", err
 	}
-	us, err := nt.DecodeUnicodeString(b)
+	us, err := h.layout.DecodeUnicodeString(b)
 	if err != nil {
 		return "", err
 	}

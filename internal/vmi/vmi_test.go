@@ -65,7 +65,7 @@ func TestTranslateMatchesGuest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Translate(mod.Base)
+	got, err := h.Translate(uint64(mod.Base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReadVAMatchesGuestMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, mod.SizeOfImage)
-	if err := h.ReadVA(mod.Base, got); err != nil {
+	if err := h.ReadVA(uint64(mod.Base), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -102,7 +102,7 @@ func TestReadU32(t *testing.T) {
 	g := testGuest(t)
 	h := open(t, g)
 	mod := g.Module("alpha.sys")
-	v, err := h.ReadU32(mod.Base)
+	v, err := h.ReadU32(uint64(mod.Base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestReadLdrEntryAndUnicode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entry.DllBase != g.Module("alpha.sys").Base {
+	if entry.DllBase != uint64(g.Module("alpha.sys").Base) {
 		t.Errorf("DllBase = %#x", entry.DllBase)
 	}
 	// Read the name through the UNICODE_STRING header.
-	nameVA := head.Flink + nt.OffBaseDllName
+	nameVA := head.Flink + uint64(nt.X86.OffBaseDllName)
 	name, err := h.ReadUnicodeString(nameVA)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestReadUnicodeStringEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	us := nt.UnicodeString{Length: 0, MaximumLength: 0, Buffer: 0}
-	if err := g.AddressSpace().Write(va, nt.EncodeUnicodeString(us)); err != nil {
+	if err := g.AddressSpace().Write(va, nt.X86.EncodeUnicodeString(us)); err != nil {
 		t.Fatal(err)
 	}
 	s, err := h.ReadUnicodeString(va)
@@ -162,7 +162,7 @@ func TestStatsCount(t *testing.T) {
 	h := open(t, g)
 	mod := g.Module("alpha.sys")
 	buf := make([]byte, 3*mm.PageSize)
-	if err := h.ReadVA(mod.Base, buf); err != nil {
+	if err := h.ReadVA(uint64(mod.Base), buf); err != nil {
 		t.Fatal(err)
 	}
 	s := h.Stats()
@@ -184,7 +184,7 @@ func TestChargeHook(t *testing.T) {
 		mu.Unlock()
 	}))
 	mod := g.Module("alpha.sys")
-	if err := h.ReadVA(mod.Base, make([]byte, 2*mm.PageSize)); err != nil {
+	if err := h.ReadVA(uint64(mod.Base), make([]byte, 2*mm.PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	want := 2*CostPageRead + 2*CostPTWalk
@@ -198,10 +198,10 @@ func TestMapRangeMatchesReadVA(t *testing.T) {
 	h := open(t, g)
 	mod := g.Module("alpha.sys")
 	a := make([]byte, mod.SizeOfImage)
-	if err := h.ReadVA(mod.Base, a); err != nil {
+	if err := h.ReadVA(uint64(mod.Base), a); err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.MapRange(mod.Base, mod.SizeOfImage)
+	b, err := h.MapRange(uint64(mod.Base), mod.SizeOfImage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,8 @@ func TestMapRangeCheaperThanPageWise(t *testing.T) {
 		f(h)
 		return total
 	}
-	pw := cost(func(h *Handle) { h.ReadVA(mod.Base, make([]byte, mod.SizeOfImage)) })
-	mp := cost(func(h *Handle) { h.MapRange(mod.Base, mod.SizeOfImage) })
+	pw := cost(func(h *Handle) { h.ReadVA(uint64(mod.Base), make([]byte, mod.SizeOfImage)) })
+	mp := cost(func(h *Handle) { h.MapRange(uint64(mod.Base), mod.SizeOfImage) })
 	if mp >= pw {
 		t.Errorf("mapped copy (%v) not cheaper than page-wise (%v)", mp, pw)
 	}
@@ -236,7 +236,7 @@ func TestReadVAUnalignedStart(t *testing.T) {
 	want := make([]byte, 100)
 	g.AddressSpace().Read(mod.Base+mm.PageSize-50, want)
 	got := make([]byte, 100)
-	if err := h.ReadVA(mod.Base+mm.PageSize-50, got); err != nil {
+	if err := h.ReadVA(uint64(mod.Base+mm.PageSize-50), got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -253,7 +253,7 @@ func TestIntrospectionIsOutOfBand(t *testing.T) {
 	before := g.Sample()
 	mod := g.Module("alpha.sys")
 	for i := 0; i < 50; i++ {
-		if err := h.ReadVA(mod.Base, make([]byte, mod.SizeOfImage)); err != nil {
+		if err := h.ReadVA(uint64(mod.Base), make([]byte, mod.SizeOfImage)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestIntrospectionIsOutOfBand(t *testing.T) {
 	buf1 := make([]byte, mod.SizeOfImage)
 	g.AddressSpace().Read(mod.Base, buf1)
 	buf2 := make([]byte, mod.SizeOfImage)
-	h.ReadVA(mod.Base, buf2)
+	h.ReadVA(uint64(mod.Base), buf2)
 	if !bytes.Equal(buf1, buf2) {
 		t.Error("repeated introspection changed memory")
 	}
@@ -284,7 +284,7 @@ func TestConcurrentReads(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for j := 0; j < 50; j++ {
 				off := uint32(rng.Intn(int(mod.SizeOfImage) - 64))
-				if err := h.ReadVA(mod.Base+off, make([]byte, 64)); err != nil {
+				if err := h.ReadVA(uint64(mod.Base+off), make([]byte, 64)); err != nil {
 					t.Errorf("concurrent read: %v", err)
 					return
 				}
@@ -303,7 +303,7 @@ func TestReadVAConsistentStableRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, mod.SizeOfImage)
-	passes, err := h.ReadVAConsistent(mod.Base, got, 4)
+	passes, err := h.ReadVAConsistent(uint64(mod.Base), got, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +335,12 @@ func TestReadVAConsistentRecoversTornWindow(t *testing.T) {
 	// Probe one clean pass to learn how many plan reads (walks + page
 	// copies) a full copy of the module costs, then tear exactly the next
 	// pass: the verify loop's first pass is corrupted, later ones clean.
-	if err := h.ReadVA(mod.Base, got); err != nil {
+	if err := h.ReadVA(uint64(mod.Base), got); err != nil {
 		t.Fatal(err)
 	}
 	perPass := plan.Reads(g.Name())
 	plan.TornWindow(g.Name(), perPass, 2*perPass)
-	passes, err := h.ReadVAConsistent(mod.Base, got, 5)
+	passes, err := h.ReadVAConsistent(uint64(mod.Base), got, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestReadVAConsistentExhaustsAsTornRead(t *testing.T) {
 	plan := faults.NewPlan(3)
 	plan.TornWindow(g.Name(), 0, 1<<40)
 	h := Open(g.Name(), plan.Reader(g.Name(), g.Phys()), g.CR3(), XPSP2Profile(guest.PsLoadedModuleListVA))
-	_, err := h.ReadVAConsistent(mod.Base, make([]byte, mod.SizeOfImage), 3)
+	_, err := h.ReadVAConsistent(uint64(mod.Base), make([]byte, mod.SizeOfImage), 3)
 	if !errors.Is(err, ErrTornRead) {
 		t.Fatalf("err = %v, want ErrTornRead", err)
 	}
@@ -374,7 +374,7 @@ func TestReadVAConsistentExhaustsAsTornRead(t *testing.T) {
 // garbage-free failures, never a panic.
 func TestWrongProfileFailsCleanly(t *testing.T) {
 	g := testGuest(t)
-	wrong := Profile{OSName: "WinXPSP3x86", Symbols: map[string]uint32{
+	wrong := Profile{OSName: "WinXPSP3x86", Symbols: map[string]uint64{
 		"PsLoadedModuleList": 0x80400000, // unmapped in this guest
 	}}
 	h := Open(g.Name(), g.Phys(), g.CR3(), wrong)

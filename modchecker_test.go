@@ -301,7 +301,7 @@ func TestOpenVMIChargesClock(t *testing.T) {
 	}
 	before := cloud.Hypervisor().Clock().Now()
 	buf := make([]byte, 64<<10)
-	base := cloud.Guest("Dom1").Module("http.sys").Base
+	base := uint64(cloud.Guest("Dom1").Module("http.sys").Base)
 	if err := h.ReadVA(base, buf); err != nil {
 		t.Fatal(err)
 	}

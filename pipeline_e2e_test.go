@@ -316,7 +316,7 @@ func TestRevertInvalidatesTranslationCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := cloud.Guest("Dom1").Module("hal.dll").Base
+	base := uint64(cloud.Guest("Dom1").Module("hal.dll").Base)
 	buf := make([]byte, 64)
 	if err := h.ReadVA(base, buf); err != nil {
 		t.Fatal(err)
@@ -355,7 +355,7 @@ func TestNoTranslationCacheCloud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := cloud.Guest("Dom1").Module("hal.dll").Base
+	base := uint64(cloud.Guest("Dom1").Module("hal.dll").Base)
 	buf := make([]byte, 64)
 	for i := 0; i < 3; i++ {
 		if err := h.ReadVA(base, buf); err != nil {
