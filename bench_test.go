@@ -16,10 +16,10 @@ import (
 	"testing"
 
 	"modchecker"
-	"modchecker/internal/amd64"
 	"modchecker/internal/baseline"
 	"modchecker/internal/core"
 	"modchecker/internal/experiments"
+	"modchecker/internal/guest"
 	"modchecker/internal/stress"
 	"modchecker/internal/vmi"
 )
@@ -340,14 +340,14 @@ func BenchmarkNormalizePair(b *testing.B) {
 // Windows-x64 guests: PE32+ modules, 4-level page tables, 8-byte Algorithm 2
 // fields, through the same core.Checker as the 32-bit pools.
 func BenchmarkCheckModule64(b *testing.B) {
-	disk, err := amd64.BuildStandardDisk64()
+	disk, err := guest.BuildStandardDisk64()
 	if err != nil {
 		b.Fatal(err)
 	}
-	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
+	profile := vmi.Win7x64Profile(guest.PsLoadedModuleList64VA)
 	targets := make([]core.Target, 4)
 	for i := range targets {
-		g, err := amd64.NewGuest64(amd64.Config64{
+		g, err := guest.New(guest.Config{
 			Name: fmt.Sprintf("x64-%d", i), BootSeed: int64(i + 1), Disk: disk,
 		})
 		if err != nil {

@@ -1,8 +1,9 @@
 // The 64-bit future-work extension: the same cross-VM integrity check,
 // run by the same checker (internal/core), against simulated Windows-x64
 // guests with PE32+ modules, 4-level page tables and DIR64 relocations.
-// internal/amd64 only simulates the guests; the vmi profile carries the
-// pointer width and the PE magic carries the address width.
+// They are the same guest.Guest as the 32-bit pools, booted from a disk of
+// PE32+ images; the vmi profile carries the pointer width and the PE magic
+// carries the address width.
 //
 //	go run ./examples/win64
 package main
@@ -11,22 +12,22 @@ import (
 	"fmt"
 	"log"
 
-	"modchecker/internal/amd64"
 	"modchecker/internal/core"
+	"modchecker/internal/guest"
 	"modchecker/internal/vmi"
 )
 
 func main() {
-	disk, err := amd64.BuildStandardDisk64()
+	disk, err := guest.BuildStandardDisk64()
 	if err != nil {
 		log.Fatal(err)
 	}
 	const n = 4
-	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
-	guests := make([]*amd64.Guest64, n)
+	profile := vmi.Win7x64Profile(guest.PsLoadedModuleList64VA)
+	guests := make([]*guest.Guest, n)
 	targets := make([]core.Target, n)
 	for i := 0; i < n; i++ {
-		g, err := amd64.NewGuest64(amd64.Config64{
+		g, err := guest.New(guest.Config{
 			Name:     fmt.Sprintf("Win7x64-%d", i+1),
 			BootSeed: int64(i+1) * 7919,
 			Disk:     disk,

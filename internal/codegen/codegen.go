@@ -1,5 +1,6 @@
-// Package codegen synthesizes deterministic 32-bit x86 machine code for the
-// kernel modules used throughout the reproduction.
+// Package codegen synthesizes deterministic x86 machine code for the kernel
+// modules used throughout the reproduction: 32-bit x86 (Generator) for the
+// paper's Windows XP guests, and x86-64 (Generate64) for the 64-bit guests.
 //
 // The paper's experiments operate on real driver code taken from a Windows
 // XP installation. This package substitutes a generator that emits genuine
@@ -16,7 +17,12 @@
 //   - Determinism. The same seed yields identical bytes, modeling VMs
 //     cloned from a single golden installation.
 //
-// A small length-disassembler (Decode) understands every encoding the
+// The x86-64 generator is its own instruction mix rather than a mode of the
+// x86 emitter: MOV RAX,imm64 operands are its DIR64 relocation sites, and
+// RIP-relative accesses, which need no relocation, dominate, so its
+// relocation density is far lower.
+//
+// A small length-disassembler (Decode) understands every encoding the x86
 // generator emits; the inline hooker uses it to relocate the victim's first
 // instructions into its trampoline, as real rootkits do.
 package codegen

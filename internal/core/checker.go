@@ -432,70 +432,27 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		c.releaseFetched(tf)
 		return nil, err
 	}
-	rep := &ModuleReport{
-		ModuleName: module,
-		TargetVM:   target.Name,
-		Base:       tf.info.DllBase,
-	}
-	rep.Timing.Add(tf.timing)
-
-	rep.Elapsed = tf.timing.Searcher + tf.timing.Parser + tf.timing.Checker
-
+	timing := tf.timing
+	elapsed := tf.timing.Searcher + tf.timing.Parser + tf.timing.Checker
 	peerFetches, fetchElapsed := c.fetchStage(module, &poolSource{vms: peers})
-	rep.Elapsed += fetchElapsed
+	elapsed += fetchElapsed
 
-	tallies := make(map[string]*ComponentTally)
-	order := make([]string, 0, len(tf.parsed.Components))
-	for _, comp := range tf.parsed.Components {
-		tallies[comp.Name] = &ComponentTally{Name: comp.Name}
-		order = append(order, comp.Name)
-	}
-
-	for _, pf := range peerFetches {
-		rep.Timing.Add(pf.timing)
+	// Target-vs-peer comparisons run serially on Dom0.
+	mismatches := make(map[pairKey][]string, len(peers))
+	for j, pf := range peerFetches {
+		timing.Add(pf.timing)
 		if pf.err != nil {
-			rep.Pairs = append(rep.Pairs, PairResult{
-				PeerVM: pf.target.Name, Err: pf.err, ErrClass: faults.Classify(pf.err),
-			})
 			continue
 		}
 		mismatched, cost := c.compare(tf, pf)
 		charged := c.charge(cost)
-		rep.Timing.Checker += charged
-		rep.Elapsed += charged // target-vs-peer comparisons run serially on Dom0
-		pr := PairResult{
-			PeerVM:               pf.target.Name,
-			Match:                len(mismatched) == 0,
-			MismatchedComponents: mismatched,
-		}
-		rep.Pairs = append(rep.Pairs, pr)
-		rep.Comparisons++
-		if pr.Match {
-			rep.Successes++
-		}
-		seen := make(map[string]bool, len(mismatched))
-		for _, name := range mismatched {
-			seen[name] = true
-			t, ok := tallies[name]
-			if !ok { // component present on peer but absent on target
-				t = &ComponentTally{Name: name}
-				tallies[name] = t
-				order = append(order, name)
-			}
-			t.Mismatches++
-			t.MismatchedVMs = append(t.MismatchedVMs, pf.target.Name)
-		}
-		for _, name := range order {
-			if !seen[name] {
-				tallies[name].Matches++
-			}
-		}
+		timing.Checker += charged
+		elapsed += charged
+		mismatches[pairKey{0, j + 1}] = mismatched
 	}
-
-	for _, name := range order {
-		rep.Components = append(rep.Components, *tallies[name])
-	}
-	rep.Verdict = c.verdict(rep.Successes, rep.Comparisons)
+	vms := append([]Target{target}, peers...)
+	rep := c.vmReport(module, vms, append([]*fetched{tf}, peerFetches...), 0, mismatches)
+	rep.Timing, rep.Elapsed = timing, elapsed
 	c.releaseFetched(tf)
 	for _, pf := range peerFetches {
 		c.releaseFetched(pf)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"modchecker/internal/amd64"
 	"modchecker/internal/guest"
 	"modchecker/internal/pe"
 	"modchecker/internal/vmi"
@@ -60,17 +59,17 @@ func testPool(t testing.TB, n int) ([]*guest.Guest, []Target) {
 
 // testPool64 boots n simulated Windows-x64 guests from the standard 64-bit
 // disk and opens a VMI target on each with the Win7x64 profile.
-func testPool64(t testing.TB, n int) ([]*amd64.Guest64, []Target) {
+func testPool64(t testing.TB, n int) ([]*guest.Guest, []Target) {
 	t.Helper()
-	disk, err := amd64.BuildStandardDisk64()
+	disk, err := guest.BuildStandardDisk64()
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
-	guests := make([]*amd64.Guest64, n)
+	profile := vmi.Win7x64Profile(guest.PsLoadedModuleList64VA)
+	guests := make([]*guest.Guest, n)
 	targets := make([]Target, n)
 	for i := range guests {
-		g, err := amd64.NewGuest64(amd64.Config64{
+		g, err := guest.New(guest.Config{
 			Name:     fmt.Sprintf("x64-%d", i+1),
 			BootSeed: int64(i+1) * 104729,
 			Disk:     disk,

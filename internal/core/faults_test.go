@@ -355,7 +355,7 @@ func TestSearcherRejectsHostileSizeOfImage(t *testing.T) {
 		mod := guests[0].Module("alpha.sys")
 		var huge [4]byte
 		binary.LittleEndian.PutUint32(huge[:], 0x7FFFFFFF)
-		if err := guests[0].AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, huge[:]); err != nil {
+		if err := guests[0].AddressSpace().Write(mod.LdrEntryVA+uint64(nt.X86.OffSizeOfImage), huge[:]); err != nil {
 			t.Fatal(err)
 		}
 		return targets, "alpha.sys"
@@ -402,7 +402,7 @@ func TestSearcherRejectsZeroSizeOfImage(t *testing.T) {
 	guests, targets := testPool(t, 1)
 	g := guests[0]
 	mod := g.Module("alpha.sys")
-	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, []byte{0, 0, 0, 0}); err != nil {
+	if err := g.AddressSpace().Write(mod.LdrEntryVA+uint64(nt.X86.OffSizeOfImage), []byte{0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewSearcher(targets[0].Handle, CopyPageWise)
@@ -422,7 +422,7 @@ func TestCheckPoolHostileLdrShrink(t *testing.T) {
 	// Shrink by one page: section data near the end is cut off.
 	var shrunk [4]byte
 	binary.LittleEndian.PutUint32(shrunk[:], mod.SizeOfImage-mm.PageSize)
-	if err := g.AddressSpace().Write(mod.LdrEntryVA+nt.X86.OffSizeOfImage, shrunk[:]); err != nil {
+	if err := g.AddressSpace().Write(mod.LdrEntryVA+uint64(nt.X86.OffSizeOfImage), shrunk[:]); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := NewChecker(Config{}).CheckPool("alpha.sys", targets)

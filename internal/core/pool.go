@@ -116,78 +116,88 @@ func (c *Checker) checkPairwise(module string, src *poolSource) *PoolReport {
 // means the pair matched.
 func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, fetches []*fetched, mismatches map[pairKey][]string) {
 	for i := range vms {
-		r := &ModuleReport{ModuleName: module, TargetVM: vms[i].Name}
-		if err := fetches[i].err; err != nil {
-			r.Verdict = VerdictError
-			r.Err = err
-			r.ErrClass = faults.Classify(err)
-			r.Pairs = append(r.Pairs, PairResult{
-				PeerVM: vms[i].Name, Err: err, ErrClass: r.ErrClass,
-			})
-			rep.VMReports = append(rep.VMReports, r)
-			rep.Errored = append(rep.Errored, vms[i].Name)
-			continue
-		}
-		rep.Healthy++
-		r.Base = fetches[i].info.DllBase
-		tallies := make(map[string]*ComponentTally)
-		var order []string
-		for _, name := range componentNames(fetches[i]) {
-			tallies[name] = &ComponentTally{Name: name}
-			order = append(order, name)
-		}
-		for j := range vms {
-			if j == i {
-				continue
-			}
-			if perr := fetches[j].err; perr != nil {
-				r.Pairs = append(r.Pairs, PairResult{
-					PeerVM: vms[j].Name, Err: perr, ErrClass: faults.Classify(perr),
-				})
-				continue
-			}
-			key := pairKey{i, j}
-			if j < i {
-				key = pairKey{j, i}
-			}
-			mm := mismatches[key]
-			pr := PairResult{PeerVM: vms[j].Name, Match: len(mm) == 0, MismatchedComponents: mm}
-			r.Pairs = append(r.Pairs, pr)
-			r.Comparisons++
-			if pr.Match {
-				r.Successes++
-			}
-			seen := make(map[string]bool, len(mm))
-			for _, name := range mm {
-				seen[name] = true
-				t, ok := tallies[name]
-				if !ok {
-					t = &ComponentTally{Name: name}
-					tallies[name] = t
-					order = append(order, name)
-				}
-				t.Mismatches++
-				t.MismatchedVMs = append(t.MismatchedVMs, vms[j].Name)
-			}
-			for _, name := range order {
-				if !seen[name] {
-					tallies[name].Matches++
-				}
-			}
-		}
-		for _, name := range order {
-			r.Components = append(r.Components, *tallies[name])
-		}
-		r.Verdict = c.verdict(r.Successes, r.Comparisons)
+		r := c.vmReport(module, vms, fetches, i, mismatches)
 		rep.VMReports = append(rep.VMReports, r)
 		switch r.Verdict {
+		case VerdictError:
+			rep.Errored = append(rep.Errored, vms[i].Name)
+			continue
 		case VerdictAltered:
 			rep.Flagged = append(rep.Flagged, vms[i].Name)
 		case VerdictInconclusive:
 			rep.Inconclusive = append(rep.Inconclusive, vms[i].Name)
 		}
+		rep.Healthy++
 	}
 	sort.Strings(rep.Flagged)
 	sort.Strings(rep.Inconclusive)
 	sort.Strings(rep.Errored)
+}
+
+// vmReport derives VM i's report from the pairwise mismatch map: one pair
+// row per peer, per-component tallies and the majority verdict. Failed
+// peers get a pair row but no vote; a VM whose own fetch failed gets
+// VerdictError.
+func (c *Checker) vmReport(module string, vms []Target, fetches []*fetched, i int, mismatches map[pairKey][]string) *ModuleReport {
+	r := &ModuleReport{ModuleName: module, TargetVM: vms[i].Name}
+	if err := fetches[i].err; err != nil {
+		r.Verdict = VerdictError
+		r.Err = err
+		r.ErrClass = faults.Classify(err)
+		r.Pairs = append(r.Pairs, PairResult{
+			PeerVM: vms[i].Name, Err: err, ErrClass: r.ErrClass,
+		})
+		return r
+	}
+	r.Base = fetches[i].info.DllBase
+	tallies := make(map[string]*ComponentTally)
+	var order []string
+	for _, name := range componentNames(fetches[i]) {
+		tallies[name] = &ComponentTally{Name: name}
+		order = append(order, name)
+	}
+	for j := range vms {
+		if j == i {
+			continue
+		}
+		if perr := fetches[j].err; perr != nil {
+			r.Pairs = append(r.Pairs, PairResult{
+				PeerVM: vms[j].Name, Err: perr, ErrClass: faults.Classify(perr),
+			})
+			continue
+		}
+		key := pairKey{i, j}
+		if j < i {
+			key = pairKey{j, i}
+		}
+		mm := mismatches[key]
+		pr := PairResult{PeerVM: vms[j].Name, Match: len(mm) == 0, MismatchedComponents: mm}
+		r.Pairs = append(r.Pairs, pr)
+		r.Comparisons++
+		if pr.Match {
+			r.Successes++
+		}
+		seen := make(map[string]bool, len(mm))
+		for _, name := range mm {
+			seen[name] = true
+			t, ok := tallies[name]
+			if !ok { // component present on the peer but absent on VM i
+				t = &ComponentTally{Name: name}
+				tallies[name] = t
+				order = append(order, name)
+			}
+			t.Mismatches++
+			t.MismatchedVMs = append(t.MismatchedVMs, vms[j].Name)
+		}
+		for _, name := range order {
+			if !seen[name] {
+				tallies[name].Matches++
+			}
+		}
+	}
+	for _, name := range order {
+		r.Components = append(r.Components, *tallies[name])
+	}
+	r.Verdict = c.verdict(r.Successes, r.Comparisons)
+	return r
 }

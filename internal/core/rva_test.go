@@ -194,6 +194,34 @@ func TestAlgorithm2PaperLine22Quirk(t *testing.T) {
 	}
 }
 
+// TestAlgorithm2RebasedConstantFalseNegative states a known blind spot of
+// Algorithm 2. A 4-byte constant v that is not an address, rewritten on one
+// copy to v + (baseA − baseRef), first differs inside the same field as a
+// real relocation would, and both sides decode to the same RVA v − baseRef.
+// The diff scan therefore rewrites the tampering away and the copies
+// normalize equal. This pins today's behaviour; closing it means checking
+// diff-scan sites against the module's .reloc (NormalizeWithRelocs), where
+// a rewritten site with no reloc entry is evidence rather than noise.
+func TestAlgorithm2RebasedConstantFalseNegative(t *testing.T) {
+	baseA, baseRef := uint32(0xF8100000), uint32(0xF8200000)
+	const v = 0x12345
+	le := binary.LittleEndian
+	dA := make([]byte, 64)
+	dRef := make([]byte, 64)
+	le.PutUint32(dRef[16:], v)
+	le.PutUint32(dA[16:], v+baseA-baseRef)
+	if bytes.Equal(dA, dRef) {
+		t.Fatal("tampered copy equals the reference before normalization")
+	}
+	nA, nRef, sites := NormalizePair(dA, dRef, baseA, baseRef)
+	if !bytes.Equal(nA, nRef) {
+		t.Error("rebased constant survived normalization: the blind spot is closed, update this test")
+	}
+	if len(sites) != 1 || sites[0] != 16 {
+		t.Errorf("sites = %v, want [16]", sites)
+	}
+}
+
 // TestNormalizePairQuick property-tests the full invariant over random
 // sections and page-aligned bases: normalize(untampered pair) is equal;
 // flipping any non-address byte keeps them unequal.

@@ -32,11 +32,11 @@ func TestListModulesMatchesGroundTruth(t *testing.T) {
 			t.Errorf("module %s not found via introspection", want.Name)
 			continue
 		}
-		if got.Base != want.Base || got.SizeOfImage != want.SizeOfImage {
+		if got.DllBase != want.Base || got.SizeOfImage != want.SizeOfImage {
 			t.Errorf("%s: introspected base/size %#x/%#x, guest truth %#x/%#x",
-				want.Name, got.Base, got.SizeOfImage, want.Base, want.SizeOfImage)
+				want.Name, got.DllBase, got.SizeOfImage, want.Base, want.SizeOfImage)
 		}
-		if got.LdrEntryVA != uint64(want.LdrEntryVA) {
+		if got.LdrEntryVA != want.LdrEntryVA {
 			t.Errorf("%s: LDR entry VA %#x, want %#x", want.Name, got.LdrEntryVA, want.LdrEntryVA)
 		}
 	}
@@ -88,7 +88,7 @@ func TestCopyModuleMatchesGuestMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]byte, info.SizeOfImage)
-	guests[0].AddressSpace().Read(info.Base, want)
+	guests[0].AddressSpace().Read(info.DllBase, want)
 	if !bytes.Equal(buf, want) {
 		t.Error("copied module differs from guest memory")
 	}
@@ -164,11 +164,11 @@ func TestSearcherUnlinkedModuleInvisible(t *testing.T) {
 	raw := make([]byte, nt.X86.LdrEntrySize)
 	g.AddressSpace().Read(mod.LdrEntryVA, raw)
 	e, _ := nt.X86.DecodeLdrEntry(raw)
-	g.AddressSpace().Write(uint32(e.InLoadOrderLinks.Blink), nt.X86.EncodeListEntry(nt.ListEntry{
+	g.AddressSpace().Write(e.InLoadOrderLinks.Blink, nt.X86.EncodeListEntry(nt.ListEntry{
 		Flink: e.InLoadOrderLinks.Flink,
-		Blink: mustBlinkOf(t, g, uint32(e.InLoadOrderLinks.Blink)),
+		Blink: mustBlinkOf(t, g, e.InLoadOrderLinks.Blink),
 	}))
-	g.AddressSpace().Write(uint32(e.InLoadOrderLinks.Flink)+4, encodeU32(uint32(e.InLoadOrderLinks.Blink)))
+	g.AddressSpace().Write(e.InLoadOrderLinks.Flink+4, encodeU32(uint32(e.InLoadOrderLinks.Blink)))
 
 	s := NewSearcher(targets[0].Handle, CopyPageWise)
 	if _, err := s.FindModule("alpha.sys"); !errors.Is(err, ErrModuleNotFound) {
@@ -176,7 +176,7 @@ func TestSearcherUnlinkedModuleInvisible(t *testing.T) {
 	}
 }
 
-func mustBlinkOf(t *testing.T, g *guest.Guest, va uint32) uint64 {
+func mustBlinkOf(t *testing.T, g *guest.Guest, va uint64) uint64 {
 	t.Helper()
 	b := make([]byte, nt.X86.ListEntrySize())
 	if err := g.AddressSpace().Read(va, b); err != nil {

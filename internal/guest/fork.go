@@ -1,7 +1,5 @@
 package guest
 
-import "modchecker/internal/mm"
-
 // Fork creates a copy-on-write clone of the guest, modeling a VM
 // instantiated by snapshotting a running golden template rather than by
 // booting from disk. The clone shares every physical frame with the
@@ -19,7 +17,7 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	phys := g.phys.Fork()
-	as := mm.AttachAddressSpace(phys, g.as.CR3())
+	as := g.as.Attach(phys)
 	c := &Guest{
 		name:         name,
 		seed:         seed,
@@ -35,7 +33,7 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 	for k, v := range g.modules {
 		c.modules[k] = v
 	}
-	c.pool = &poolAllocator{as: as, next: g.pool.next, mappedEnd: g.pool.mappedEnd, limit: g.pool.limit}
+	c.pool = &poolAllocator{as: as, next: g.pool.next, mappedEnd: g.pool.mappedEnd}
 	c.res.init(seed)
 	return c
 }

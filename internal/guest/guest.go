@@ -1,9 +1,15 @@
-// Package guest simulates a 32-bit Windows XP guest VM at the fidelity
-// ModChecker requires: real guest-physical memory with x86 page tables, a
-// kernel module loader that maps PE32 images and applies base relocations,
-// and an authentic PsLoadedModuleList — a doubly linked list of
+// Package guest simulates a Windows guest VM at the fidelity ModChecker
+// requires: real guest-physical memory with x86 page tables, a kernel
+// module loader that maps PE images and applies base relocations, and an
+// authentic PsLoadedModuleList — a doubly linked list of
 // LDR_DATA_TABLE_ENTRY structures laid out byte-for-byte in guest memory
 // (paper Figure 2) that introspection tools traverse from outside.
+//
+// One Guest serves both address widths. The width of its disk images picks
+// the machine: PE32 images boot a 32-bit Windows XP guest (two-level page
+// tables, the nt.X86 LDR layout, the paper's testbed), PE32+ images a
+// 64-bit Windows 7 guest (four-level page tables, nt.X64) — the
+// portability the paper claims. A disk may not mix the two.
 //
 // Guests are deterministic: two guests created from the same disk with the
 // same boot seed are bit-identical, modeling VM clones instantiated from a
@@ -20,31 +26,63 @@ import (
 
 	"modchecker/internal/mm"
 	"modchecker/internal/nt"
+	"modchecker/internal/pe"
 )
 
-// Well-known guest virtual addresses (32-bit XP-like layout). These are
-// properties of the OS build, so they are identical across cloned VMs —
-// which is why a single VMI symbol profile works for the whole pool.
+// Well-known guest virtual addresses. These are properties of the OS
+// build, so they are identical across cloned VMs — which is why a single
+// VMI symbol profile works for the whole pool.
 const (
-	// PsLoadedModuleListVA is the guest VA of the PsLoadedModuleList
-	// global: the LIST_ENTRY heading the loaded-module list.
+	// PsLoadedModuleListVA is the 32-bit guest VA of the
+	// PsLoadedModuleList global: the LIST_ENTRY heading the loaded-module
+	// list.
 	PsLoadedModuleListVA = 0x8055A420
-
-	// kernelGlobalsVA is the page holding exported kernel globals
-	// (contains PsLoadedModuleListVA).
-	kernelGlobalsVA = 0x8055A000
-
-	// poolBaseVA is the start of the simulated nonpaged pool, where
-	// loader metadata (LDR entries, name buffers) is allocated.
-	poolBaseVA = 0x81000000
-	poolEndVA  = 0x85000000
-
-	// driverAreaVA is the base of the region where kernel modules are
-	// mapped (XP maps boot drivers around 0xF8xxxxxx, matching the base
-	// addresses in the paper's Figure 4).
-	driverAreaVA  = 0xF8000000
-	driverAreaEnd = 0xFFC00000
+	// PsLoadedModuleList64VA is the list head's VA in the 64-bit kernel.
+	PsLoadedModuleList64VA = 0xFFFFF80001A45680
 )
+
+// layout is one address width's guest virtual layout and LDR codec.
+type layout struct {
+	ldr *nt.Layout
+	// moduleList is the PsLoadedModuleList head; kernelGlobals is the page
+	// of exported kernel globals that holds it.
+	moduleList    uint64
+	kernelGlobals uint64
+	// [poolBase, poolEnd) is the simulated nonpaged pool, where loader
+	// metadata (LDR entries, name buffers) is allocated.
+	poolBase, poolEnd uint64
+	// [driverBase, driverEnd) is where kernel modules are mapped; boot
+	// starts a random number of pages below jitterPages into it.
+	driverBase, driverEnd uint64
+	jitterPages           int
+}
+
+var (
+	// x86Layout is 32-bit XP: boot drivers around 0xF8xxxxxx, matching the
+	// base addresses in the paper's Figure 4.
+	x86Layout = &layout{
+		ldr:        nt.X86,
+		moduleList: PsLoadedModuleListVA, kernelGlobals: 0x8055A000,
+		poolBase: 0x81000000, poolEnd: 0x85000000,
+		driverBase: 0xF8000000, driverEnd: 0xFFC00000, jitterPages: 256,
+	}
+	// x64Layout is Windows 7 x64: drivers in the 0xFFFFF880'00000000
+	// system region, pool in paged-pool space.
+	x64Layout = &layout{
+		ldr:        nt.X64,
+		moduleList: PsLoadedModuleList64VA, kernelGlobals: 0xFFFFF80001A45000,
+		poolBase: 0xFFFFF8A000000000, poolEnd: 0xFFFFF8A004000000,
+		driverBase: 0xFFFFF88001000000, driverEnd: 0xFFFFF8800A000000, jitterPages: 512,
+	}
+)
+
+// layoutOf returns the layout matching an address space's paging mode.
+func layoutOf(as *mm.AddressSpace) *layout {
+	if as.Levels() == 4 {
+		return x64Layout
+	}
+	return x86Layout
+}
 
 // Config controls guest creation.
 type Config struct {
@@ -54,10 +92,10 @@ type Config struct {
 	// frame allocation order, module base jitter, resource noise.
 	// Distinct VMs get distinct seeds.
 	BootSeed int64
-	// Disk maps module file names to their on-disk PE images. Cloned VMs
-	// share one disk (same underlying map is safe: it is never mutated
-	// by the guest; infections that "patch the file on disk" operate on
-	// a copy).
+	// Disk maps module file names to their on-disk PE images, all PE32 or
+	// all PE32+; their width picks the guest's. Cloned VMs share one disk
+	// (same underlying map is safe: it is never mutated by the guest;
+	// infections that "patch the file on disk" operate on a copy).
 	Disk map[string][]byte
 }
 
@@ -79,7 +117,7 @@ type Guest struct {
 	rng  *rand.Rand // lazily created from seed; forks never pay for one
 	pool *poolAllocator
 	// nextModuleVA is the bump pointer for module load addresses.
-	nextModuleVA uint32
+	nextModuleVA uint64
 	modules      map[string]*LoadedModule // lowercase name -> record
 	disk         map[string][]byte        // swapped whole on mutation (copy-on-write)
 }
@@ -90,10 +128,10 @@ type Guest struct {
 // facts by walking guest memory.
 type LoadedModule struct {
 	Name        string
-	Base        uint32 // DllBase: guest VA of the first byte of the image
+	Base        uint64 // DllBase: guest VA of the first byte of the image
 	SizeOfImage uint32
-	EntryPoint  uint32
-	LdrEntryVA  uint32 // guest VA of the LDR_DATA_TABLE_ENTRY
+	EntryPoint  uint64
+	LdrEntryVA  uint64 // guest VA of the LDR_DATA_TABLE_ENTRY
 }
 
 // New boots a guest: initializes physical memory, the kernel address space,
@@ -107,11 +145,33 @@ func New(cfg Config) (*Guest, error) {
 	if cfg.Disk == nil {
 		return nil, fmt.Errorf("guest %q: no disk", cfg.Name)
 	}
+	names := make([]string, 0, len(cfg.Disk))
+	for name := range cfg.Disk {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	images := make([]*pe.Image, len(names))
+	for i, name := range names {
+		img, err := pe.Parse(cfg.Disk[name])
+		if err != nil {
+			return nil, fmt.Errorf("guest %q: parsing %s: %w", cfg.Name, name, err)
+		}
+		if i > 0 && img.AddrWidth() != images[0].AddrWidth() {
+			return nil, fmt.Errorf("guest %q: disk mixes PE32 and PE32+ images (%s)", cfg.Name, name)
+		}
+		images[i] = img
+	}
+
 	phys := mm.NewPhysMemory(cfg.MemBytes, cfg.BootSeed)
-	as, err := mm.NewAddressSpace(phys)
+	newAS := mm.NewAddressSpace
+	if len(images) > 0 && images[0].AddrWidth() == 8 {
+		newAS = mm.NewAddressSpace64
+	}
+	as, err := newAS(phys)
 	if err != nil {
 		return nil, fmt.Errorf("guest %q: %w", cfg.Name, err)
 	}
+	l := layoutOf(as)
 	g := &Guest{
 		name:    cfg.Name,
 		seed:    cfg.BootSeed,
@@ -120,32 +180,27 @@ func New(cfg Config) (*Guest, error) {
 		disk:    cfg.Disk,
 		modules: make(map[string]*LoadedModule),
 	}
-	g.pool = newPoolAllocator(as, poolBaseVA, poolEndVA)
+	g.pool = &poolAllocator{as: as, next: l.poolBase, mappedEnd: l.poolBase}
 	g.res.init(cfg.BootSeed)
 
 	// Map the kernel-globals page and initialize the empty module list
 	// (head points at itself).
-	if _, err := as.AllocAndMap(kernelGlobalsVA, mm.PageSize, mm.PteWritable); err != nil {
+	if _, err := as.AllocAndMap(l.kernelGlobals, mm.PageSize, mm.PteWritable); err != nil {
 		return nil, fmt.Errorf("guest %q: mapping kernel globals: %w", cfg.Name, err)
 	}
-	head := nt.ListEntry{Flink: PsLoadedModuleListVA, Blink: PsLoadedModuleListVA}
-	if err := as.Write(PsLoadedModuleListVA, nt.X86.EncodeListEntry(head)); err != nil {
+	head := nt.ListEntry{Flink: l.moduleList, Blink: l.moduleList}
+	if err := as.Write(l.moduleList, l.ldr.EncodeListEntry(head)); err != nil {
 		return nil, err
 	}
 
 	// Boot-time module base: start of the driver area plus a per-VM
 	// jitter, so clones load the same modules at different addresses
-	// (real XP bases drift with boot-time pool state and device
-	// enumeration order).
-	g.nextModuleVA = driverAreaVA + uint32(g.bootRNG().Intn(256))*mm.PageSize
+	// (real bases drift with boot-time pool state and device enumeration
+	// order).
+	g.nextModuleVA = l.driverBase + uint64(g.bootRNG().Intn(l.jitterPages))*mm.PageSize
 
-	names := make([]string, 0, len(cfg.Disk))
-	for name := range cfg.Disk {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := g.LoadModule(name); err != nil {
+	for i, name := range names {
+		if _, err := g.load(name, images[i]); err != nil {
 			return nil, fmt.Errorf("guest %q: boot-loading %s: %w", cfg.Name, name, err)
 		}
 	}
@@ -159,8 +214,9 @@ func (g *Guest) Name() string { return g.name }
 // to the VMI layer.
 func (g *Guest) Phys() *mm.PhysMemory { return g.phys }
 
-// CR3 returns the kernel address space's page-directory physical address,
-// as the hypervisor would report the vCPU's CR3 to an introspection client.
+// CR3 returns the kernel address space's top-level page-table physical
+// address, as the hypervisor would report the vCPU's CR3 to an
+// introspection client.
 func (g *Guest) CR3() uint32 { return g.as.CR3() }
 
 // AddressSpace exposes the kernel address space for guest-side code (the
@@ -247,13 +303,13 @@ func (g *Guest) bootRNG() *rand.Rand {
 
 // allocModuleBase reserves a page-aligned load address for a module of the
 // given image size, with a random inter-module gap.
-func (g *Guest) allocModuleBase(size uint32) (uint32, error) {
+func (g *Guest) allocModuleBase(size uint32) (uint64, error) {
 	base := g.nextModuleVA
-	if uint64(base)+uint64(size) > driverAreaEnd {
+	if base+uint64(size) > layoutOf(g.as).driverEnd {
 		return 0, fmt.Errorf("guest %q: driver area exhausted", g.name)
 	}
-	pages := (size + mm.PageSize - 1) / mm.PageSize
-	gap := uint32(g.bootRNG().Intn(64)) * mm.PageSize
+	pages := uint64(size+mm.PageSize-1) / mm.PageSize
+	gap := uint64(g.bootRNG().Intn(64)) * mm.PageSize
 	g.nextModuleVA = base + pages*mm.PageSize + gap
 	return base, nil
 }

@@ -67,7 +67,7 @@ func TestModuleLookupCaseInsensitive(t *testing.T) {
 func TestModuleBasesInDriverArea(t *testing.T) {
 	g := newGuest(t, "vm1", 1)
 	for _, m := range g.Modules() {
-		if m.Base < driverAreaVA || m.Base >= driverAreaEnd {
+		if m.Base < x86Layout.driverBase || m.Base >= x86Layout.driverEnd {
 			t.Errorf("%s at %#x outside driver area", m.Name, m.Base)
 		}
 		if m.Base&(mm.PageSize-1) != 0 {
@@ -101,7 +101,7 @@ func TestPsLoadedModuleListStructure(t *testing.T) {
 
 	readList := func(va uint64) nt.ListEntry {
 		b := make([]byte, nt.X86.ListEntrySize())
-		if err := as.Read(uint32(va), b); err != nil {
+		if err := as.Read(va, b); err != nil {
 			t.Fatalf("read LIST_ENTRY at %#x: %v", va, err)
 		}
 		le, _ := nt.X86.DecodeListEntry(b)
@@ -113,7 +113,7 @@ func TestPsLoadedModuleListStructure(t *testing.T) {
 	var entries []uint64
 	for cur := head.Flink; cur != PsLoadedModuleListVA; {
 		raw := make([]byte, nt.X86.LdrEntrySize)
-		if err := as.Read(uint32(cur), raw); err != nil {
+		if err := as.Read(cur, raw); err != nil {
 			t.Fatal(err)
 		}
 		e, err := nt.X86.DecodeLdrEntry(raw)
@@ -121,7 +121,7 @@ func TestPsLoadedModuleListStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		nameBuf := make([]byte, e.BaseDllName.Length)
-		if err := as.Read(uint32(e.BaseDllName.Buffer), nameBuf); err != nil {
+		if err := as.Read(e.BaseDllName.Buffer, nameBuf); err != nil {
 			t.Fatal(err)
 		}
 		name, _ := nt.DecodeUTF16(nameBuf)
@@ -179,14 +179,14 @@ func TestLoadedImageContainsAbsoluteAddresses(t *testing.T) {
 		t.Fatalf("no reloc sites: %v", err)
 	}
 	var b [4]byte
-	if err := g.AddressSpace().Read(mod.Base+sites[0], b[:]); err != nil {
+	if err := g.AddressSpace().Read(mod.Base+uint64(sites[0]), b[:]); err != nil {
 		t.Fatal(err)
 	}
-	addr := binary.LittleEndian.Uint32(b[:])
+	addr := uint64(binary.LittleEndian.Uint32(b[:]))
 	delta := mod.Base - img.Optional.ImageBase
-	if addr < img.Optional.ImageBase+delta || addr >= img.Optional.ImageBase+delta+img.Optional.SizeOfImage {
+	if addr < img.Optional.ImageBase+delta || addr >= img.Optional.ImageBase+delta+uint64(img.Optional.SizeOfImage) {
 		t.Errorf("relocated operand %#x not within loaded image [%#x,%#x)",
-			addr, mod.Base, mod.Base+mod.SizeOfImage)
+			addr, mod.Base, mod.Base+uint64(mod.SizeOfImage))
 	}
 }
 
@@ -220,7 +220,7 @@ func TestUnloadRemovesFromList(t *testing.T) {
 	count := 0
 	for cur := head.Flink; cur != PsLoadedModuleListVA; count++ {
 		raw := make([]byte, nt.X86.LdrEntrySize)
-		as.Read(uint32(cur), raw)
+		as.Read(cur, raw)
 		e, _ := nt.X86.DecodeLdrEntry(raw)
 		cur = e.InLoadOrderLinks.Flink
 	}

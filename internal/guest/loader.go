@@ -18,13 +18,11 @@ import (
 //     addresses in the code, making in-memory hashes differ across VMs),
 //  4. allocate an LDR_DATA_TABLE_ENTRY and name buffers in pool, and
 //  5. link the entry into PsLoadedModuleList via in-memory list surgery.
+//
+// The image must have the guest's width.
 func (g *Guest) LoadModule(filename string) (*LoadedModule, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := foldName(filename)
-	if _, dup := g.modules[key]; dup {
-		return nil, fmt.Errorf("guest %q: module %s already loaded", g.name, filename)
-	}
 	raw, ok := g.disk[filename]
 	if !ok {
 		return nil, fmt.Errorf("guest %q: no file %s on disk", g.name, filename)
@@ -33,7 +31,21 @@ func (g *Guest) LoadModule(filename string) (*LoadedModule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guest %q: parsing %s: %w", g.name, filename, err)
 	}
+	return g.load(filename, img)
+}
 
+// load maps an already-parsed image (LoadModule steps 1-5). Callers must
+// hold g.mu (or be inside New, before the guest is shared).
+func (g *Guest) load(filename string, img *pe.Image) (*LoadedModule, error) {
+	key := foldName(filename)
+	if _, dup := g.modules[key]; dup {
+		return nil, fmt.Errorf("guest %q: module %s already loaded", g.name, filename)
+	}
+	l := layoutOf(g.as)
+	if img.AddrWidth() != l.ldr.PtrSize {
+		return nil, fmt.Errorf("guest %q: %s is a %d-bit image in a %d-bit guest",
+			g.name, filename, 8*img.AddrWidth(), 8*l.ldr.PtrSize)
+	}
 	base, err := g.allocModuleBase(img.Optional.SizeOfImage)
 	if err != nil {
 		return nil, err
@@ -53,9 +65,9 @@ func (g *Guest) LoadModule(filename string) (*LoadedModule, error) {
 		Name:        filename,
 		Base:        base,
 		SizeOfImage: img.Optional.SizeOfImage,
-		EntryPoint:  base + img.Optional.AddressOfEntryPoint,
+		EntryPoint:  base + uint64(img.Optional.AddressOfEntryPoint),
 	}
-	if err := g.linkLoaderEntry(mod); err != nil {
+	if err := g.linkLoaderEntry(l, mod); err != nil {
 		return nil, err
 	}
 	g.modules[key] = mod
@@ -66,7 +78,7 @@ func (g *Guest) LoadModule(filename string) (*LoadedModule, error) {
 // linkLoaderEntry creates the LDR_DATA_TABLE_ENTRY in pool and inserts it
 // at the tail of PsLoadedModuleList (InsertTailList semantics, so the list
 // preserves load order — hence "InLoadOrderLinks").
-func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
+func (g *Guest) linkLoaderEntry(l *layout, mod *LoadedModule) error {
 	baseName := mod.Name
 	fullName := `\SystemRoot\System32\drivers\` + mod.Name
 
@@ -86,43 +98,44 @@ func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
 	if err := g.as.Write(fullBufVA, fullBuf); err != nil {
 		return err
 	}
-	entryVA, err := g.pool.alloc(nt.X86.LdrEntrySize, 8)
+	// Pool blocks are aligned to two pointers (8 bytes on x86, 16 on x64).
+	entryVA, err := g.pool.alloc(l.ldr.LdrEntrySize, uint32(2*l.ldr.PtrSize))
 	if err != nil {
 		return err
 	}
 
 	// Read the current head to find the tail.
-	head, err := g.readListEntry(PsLoadedModuleListVA)
+	head, err := g.readListEntry(l, l.moduleList)
 	if err != nil {
 		return err
 	}
 	entry := nt.LdrDataTableEntry{
-		InLoadOrderLinks: nt.ListEntry{Flink: PsLoadedModuleListVA, Blink: head.Blink},
-		DllBase:          uint64(mod.Base),
-		EntryPoint:       uint64(mod.EntryPoint),
+		InLoadOrderLinks: nt.ListEntry{Flink: l.moduleList, Blink: head.Blink},
+		DllBase:          mod.Base,
+		EntryPoint:       mod.EntryPoint,
 		SizeOfImage:      mod.SizeOfImage,
 		FullDllName: nt.UnicodeString{
 			Length:        uint16(len(fullBuf)),
 			MaximumLength: uint16(len(fullBuf)),
-			Buffer:        uint64(fullBufVA),
+			Buffer:        fullBufVA,
 		},
 		BaseDllName: nt.UnicodeString{
 			Length:        uint16(len(baseBuf)),
 			MaximumLength: uint16(len(baseBuf)),
-			Buffer:        uint64(baseBufVA),
+			Buffer:        baseBufVA,
 		},
 		Flags:     0x09004000, // LDRP_ENTRY_PROCESSED | image-dll bits, as XP sets
 		LoadCount: 1,
 	}
-	if err := g.as.Write(entryVA, nt.X86.EncodeLdrEntry(&entry)); err != nil {
+	if err := g.as.Write(entryVA, l.ldr.EncodeLdrEntry(&entry)); err != nil {
 		return err
 	}
 	// tail.Flink = entry
-	if err := g.writeListFlink(uint32(head.Blink), entryVA); err != nil {
+	if err := g.writeListFlink(l, head.Blink, entryVA); err != nil {
 		return err
 	}
 	// head.Blink = entry
-	if err := g.writeListBlink(PsLoadedModuleListVA, entryVA); err != nil {
+	if err := g.writeListBlink(l, l.moduleList, entryVA); err != nil {
 		return err
 	}
 	mod.LdrEntryVA = entryVA
@@ -138,15 +151,16 @@ func (g *Guest) UnloadModule(name string) error {
 	if !ok {
 		return fmt.Errorf("guest %q: module %s not loaded", g.name, name)
 	}
-	links, err := g.readListEntry(mod.LdrEntryVA + nt.X86.OffInLoadOrderLinks)
+	l := layoutOf(g.as)
+	links, err := g.readListEntry(l, mod.LdrEntryVA+uint64(l.ldr.OffInLoadOrderLinks))
 	if err != nil {
 		return err
 	}
 	// RemoveEntryList: Blink.Flink = Flink; Flink.Blink = Blink.
-	if err := g.writeListFlink(uint32(links.Blink), uint32(links.Flink)); err != nil {
+	if err := g.writeListFlink(l, links.Blink, links.Flink); err != nil {
 		return err
 	}
-	if err := g.writeListBlink(uint32(links.Flink), uint32(links.Blink)); err != nil {
+	if err := g.writeListBlink(l, links.Flink, links.Blink); err != nil {
 		return err
 	}
 	if err := g.as.UnmapAndFree(mod.Base, mod.SizeOfImage); err != nil {
@@ -157,28 +171,28 @@ func (g *Guest) UnloadModule(name string) error {
 	return nil
 }
 
-func (g *Guest) readListEntry(va uint32) (nt.ListEntry, error) {
-	b := make([]byte, nt.X86.ListEntrySize())
+func (g *Guest) readListEntry(l *layout, va uint64) (nt.ListEntry, error) {
+	b := make([]byte, l.ldr.ListEntrySize())
 	if err := g.as.Read(va, b); err != nil {
 		return nt.ListEntry{}, err
 	}
-	return nt.X86.DecodeListEntry(b)
+	return l.ldr.DecodeListEntry(b)
 }
 
-func (g *Guest) writeListFlink(entryVA, flink uint32) error {
-	le, err := g.readListEntry(entryVA)
+func (g *Guest) writeListFlink(l *layout, entryVA, flink uint64) error {
+	le, err := g.readListEntry(l, entryVA)
 	if err != nil {
 		return err
 	}
-	le.Flink = uint64(flink)
-	return g.as.Write(entryVA, nt.X86.EncodeListEntry(le))
+	le.Flink = flink
+	return g.as.Write(entryVA, l.ldr.EncodeListEntry(le))
 }
 
-func (g *Guest) writeListBlink(entryVA, blink uint32) error {
-	le, err := g.readListEntry(entryVA)
+func (g *Guest) writeListBlink(l *layout, entryVA, blink uint64) error {
+	le, err := g.readListEntry(l, entryVA)
 	if err != nil {
 		return err
 	}
-	le.Blink = uint64(blink)
-	return g.as.Write(entryVA, nt.X86.EncodeListEntry(le))
+	le.Blink = blink
+	return g.as.Write(entryVA, l.ldr.EncodeListEntry(le))
 }

@@ -13,11 +13,10 @@ import "modchecker/internal/mm"
 // chosen, but all state existing at snapshot time is restored exactly.
 type Snapshot struct {
 	phys         *mm.PhysMemory
-	cr3          uint32
 	modules      map[string]*LoadedModule
-	nextModuleVA uint32
-	poolNext     uint32
-	poolMapped   uint32
+	nextModuleVA uint64
+	poolNext     uint64
+	poolMapped   uint64
 	disk         map[string][]byte
 }
 
@@ -32,7 +31,6 @@ func (g *Guest) Snapshot() *Snapshot {
 	}
 	return &Snapshot{
 		phys:         g.phys.Clone(),
-		cr3:          g.as.CR3(),
 		modules:      mods,
 		nextModuleVA: g.nextModuleVA,
 		poolNext:     g.pool.next,
@@ -47,8 +45,10 @@ func (g *Guest) Restore(s *Snapshot) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.phys = s.phys.Clone()
-	g.as = mm.AttachAddressSpace(g.phys, s.cr3)
-	g.pool = &poolAllocator{as: g.as, next: s.poolNext, mappedEnd: s.poolMapped, limit: poolEndVA}
+	// The kernel's page tables never move, so the captured memory holds
+	// them at the same CR3.
+	g.as = g.as.Attach(g.phys)
+	g.pool = &poolAllocator{as: g.as, next: s.poolNext, mappedEnd: s.poolMapped}
 	g.nextModuleVA = s.nextModuleVA
 	g.disk = s.disk
 	g.modules = make(map[string]*LoadedModule, len(s.modules))

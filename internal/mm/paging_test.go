@@ -89,7 +89,7 @@ func TestAllocAndMap(t *testing.T) {
 		t.Fatalf("%d frames for 3 pages + 100 bytes, want 4", len(pfns))
 	}
 	for i := uint32(0); i < 4; i++ {
-		if _, err := as.Translate(0x80010000 + i*PageSize); err != nil {
+		if _, err := as.Translate(uint64(0x80010000 + i*PageSize)); err != nil {
 			t.Errorf("page %d unmapped: %v", i, err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestExternalWalkMatchesInternal(t *testing.T) {
 	}
 	for off := uint32(0); off < 8*PageSize; off += 1021 {
 		va := 0x80010000 + off
-		want, err := as.Translate(va)
+		want, err := as.Translate(uint64(va))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestAttachAddressSpace(t *testing.T) {
 	as.AllocAndMap(va, PageSize, PteWritable)
 	as.Write(va, []byte{0x42})
 
-	attached := AttachAddressSpace(m, as.CR3())
+	attached := as.Attach(m)
 	got := make([]byte, 1)
 	if err := attached.Read(va, got); err != nil {
 		t.Fatal(err)
@@ -243,10 +243,10 @@ func TestPagingQuick(t *testing.T) {
 			// Pool exhaustion is fine for the property.
 			return true
 		}
-		if err := as.Map(va, pfn, PteWritable); err != nil {
+		if err := as.Map(uint64(va), pfn, PteWritable); err != nil {
 			return false
 		}
-		pa, err := as.Translate(va | uint32(off)&(PageSize-1))
+		pa, err := as.Translate(uint64(va | uint32(off)&(PageSize-1)))
 		if err != nil {
 			return false
 		}
@@ -254,5 +254,143 @@ func TestPagingQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// --- four-level (x86-64) paging ---
+
+func newAS64(t testing.TB, seed int64) (*PhysMemory, *AddressSpace) {
+	t.Helper()
+	m := NewPhysMemory(16<<20, seed)
+	as, err := NewAddressSpace64(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, as
+}
+
+func TestPaging64MapTranslate(t *testing.T) {
+	phys, as := newAS64(t, 1)
+	pfn, _ := phys.AllocFrame()
+	const va = 0xFFFFF88001234000
+	if err := as.Map(va, pfn, PteWritable); err != nil {
+		t.Fatal(err)
+	}
+	pa, err := WalkPageTables64(phys, as.CR3(), va+0x123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa != pfn<<PageShift|0x123 {
+		t.Errorf("pa = %#x", pa)
+	}
+}
+
+func TestPaging64RejectsNonCanonical(t *testing.T) {
+	phys, as := newAS64(t, 1)
+	if err := as.Map(0x0000800000000000, 3, PteWritable); err == nil {
+		t.Error("non-canonical address mapped")
+	}
+	if _, err := WalkPageTables64(phys, as.CR3(), 0x0000900000000000); err == nil {
+		t.Error("non-canonical address translated")
+	}
+}
+
+func TestPaging64UnmappedLevels(t *testing.T) {
+	phys, as := newAS64(t, 1)
+	translate := func(va uint64) error {
+		_, err := WalkPageTables64(phys, as.CR3(), va)
+		return err
+	}
+	// Nothing mapped: fails at PML4 level.
+	if translate(0xFFFFF88001234000) == nil {
+		t.Error("empty space translated")
+	}
+	pfn, _ := phys.AllocFrame()
+	as.Map(0xFFFFF88001234000, pfn, PteWritable)
+	// Same PT, absent PTE.
+	if translate(0xFFFFF88001235000) == nil {
+		t.Error("absent PTE translated")
+	}
+	// Different PML4 entry entirely.
+	if translate(0x0000700000000000) == nil {
+		t.Error("far VA translated")
+	}
+}
+
+func TestPaging64ReadWriteCrossPage(t *testing.T) {
+	_, as := newAS64(t, 1)
+	const va = 0xFFFFF88001230000
+	if _, err := as.AllocAndMap(va, 3*PageSize, PteWritable); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 2*PageSize)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := as.Write(va+100, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := as.Read(va+100, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("cross-page 64-bit IO mismatch")
+	}
+}
+
+// TestPaging64ExternalWalkMatches: the external walk lands every byte the
+// guest wrote through its own mappings.
+func TestPaging64ExternalWalkMatches(t *testing.T) {
+	phys, as := newAS64(t, 3)
+	const va = 0xFFFFF8A000000000
+	as.AllocAndMap(va, 8*PageSize, PteWritable)
+	for off := uint64(0); off < 8*PageSize; off += 1021 {
+		if err := as.Write(va+off, []byte{byte(off), byte(off >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+		pa, err := WalkPageTables64(phys, as.CR3(), va+off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [1]byte
+		if err := phys.ReadPhys(pa, got[:]); err != nil || got[0] != byte(off) {
+			t.Fatalf("external walk of +%#x reads %#x (%v)", off, got[0], err)
+		}
+	}
+}
+
+// TestPaging64UnmapAndAttach covers the four-level paths the guest loader
+// shares with the 32-bit one: unmapping a module's pages frees its frames,
+// and a space attached to a fork keeps its paging mode.
+func TestPaging64UnmapAndAttach(t *testing.T) {
+	phys, as := newAS64(t, 5)
+	const va = 0xFFFFF88001000000
+	if _, err := as.AllocAndMap(va, 2*PageSize, PteWritable); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Write(va, []byte{0x42}); err != nil {
+		t.Fatal(err)
+	}
+	attached := as.Attach(phys.Fork())
+	if attached.Levels() != 4 {
+		t.Fatalf("attached space has %d levels", attached.Levels())
+	}
+	got := make([]byte, 1)
+	if err := attached.Read(va, got); err != nil || got[0] != 0x42 {
+		t.Fatalf("attached space reads %#02x (%v)", got[0], err)
+	}
+	before := phys.FramesInUse()
+	if err := as.UnmapAndFree(va, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := phys.FramesInUse(); got != before-2 {
+		t.Errorf("FramesInUse = %d, want %d", got, before-2)
+	}
+	if _, err := as.Translate(va); !errors.Is(err, ErrUnmapped) {
+		t.Error("mapping survives UnmapAndFree")
+	}
+	if _, err := attached.Translate(va); err != nil {
+		t.Errorf("fork lost its mapping: %v", err)
 	}
 }

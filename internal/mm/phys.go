@@ -1,12 +1,14 @@
-// Package mm implements the memory substrate of a simulated 32-bit guest:
-// sparse guest-physical memory and x86 two-level page tables
-// (directory + table, 4 KiB pages).
+// Package mm implements the memory substrate of a simulated guest: sparse
+// guest-physical memory and x86 page tables with 4 KiB pages. One
+// AddressSpace type builds either paging mode, chosen at construction:
+// 32-bit two-level tables (directory + table) or x86-64 four-level tables
+// (PML4 → PDPT → PD → PT).
 //
 // Both the guest kernel (internal/guest) and the introspection library
 // (internal/vmi) operate on this substrate. The guest maps and writes
 // through an AddressSpace; VMI performs its own independent page-table walk
-// over raw physical reads (WalkPageTables), exactly as libVMI walks a real
-// guest's tables from Dom0.
+// over raw physical reads (WalkPageTables, WalkPageTables64), exactly as
+// libVMI walks a real guest's tables from Dom0.
 package mm
 
 import (

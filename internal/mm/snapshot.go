@@ -9,11 +9,3 @@ package mm
 func (m *PhysMemory) Clone() *PhysMemory {
 	return m.Fork()
 }
-
-// AttachAddressSpace wraps an existing page-directory (at physical address
-// cr3) in mem as an AddressSpace, without allocating anything. Used when
-// restoring a snapshot: the cloned physical memory already contains the
-// page tables.
-func AttachAddressSpace(mem *PhysMemory, cr3 uint32) *AddressSpace {
-	return &AddressSpace{mem: mem, cr3: cr3}
-}

@@ -4,20 +4,21 @@ import (
 	"fmt"
 )
 
-// Default alignments used by the builder; these match what 32-bit Windows
-// driver linkers emit.
+// Default alignments used by the builder; these match what Windows driver
+// linkers emit at both widths.
 const (
 	DefaultSectionAlignment = 0x1000
 	DefaultFileAlignment    = 0x200
 )
 
-// Builder assembles a well-formed PE32 image from sections, relocation
-// sites and imports, computing all offsets, alignments and directory
-// entries. It is how the repository synthesizes the kernel modules
-// (hal.dll, http.sys, dummy.sys, ...) that the real paper takes from a
-// Windows XP installation.
+// Builder assembles a well-formed PE32 or PE32+ image from sections,
+// relocation sites and imports, computing all offsets, alignments and
+// directory entries. It is how the repository synthesizes the kernel
+// modules (hal.dll, http.sys, dummy.sys, ...) that the real paper takes
+// from a Windows XP installation, and their Windows-x64 counterparts.
 type Builder struct {
-	imageBase  uint32
+	magic      uint16 // OptionalMagic32 or OptionalMagic64
+	imageBase  uint64
 	timestamp  uint32
 	subsystem  uint16
 	chars      uint16
@@ -37,17 +38,29 @@ type builderSection struct {
 	chars       uint32
 }
 
-// NewBuilder returns a Builder for a native (kernel-mode) image with the
-// given preferred load address.
+// NewBuilder returns a Builder for a native (kernel-mode) PE32 image with
+// the given preferred load address.
 func NewBuilder(imageBase uint32) *Builder {
 	return &Builder{
-		imageBase: imageBase,
+		magic:     OptionalMagic32,
+		imageBase: uint64(imageBase),
 		timestamp: 0x4F000000, // fixed so cloned VMs build identical files
 		subsystem: SubsystemNative,
 		chars:     FileExecutableImage | File32BitMachine | FileLineNumsStripped | FileLocalSymsStripped,
 		dosStub:   buildDOSStub(DefaultDOSStub),
 		fileAlign: DefaultFileAlignment,
 	}
+}
+
+// NewBuilder64 returns a Builder for a native PE32+ (x86-64) image: 64-bit
+// ImageBase, IMAGE_OPTIONAL_HEADER64 and DIR64 relocations. Import
+// directories are PE32-only here (their thunks are 32-bit).
+func NewBuilder64(imageBase uint64) *Builder {
+	b := NewBuilder(0)
+	b.magic = OptionalMagic64
+	b.imageBase = imageBase
+	b.chars = FileExecutableImage | FileLargeAddressAware | FileLineNumsStripped | FileLocalSymsStripped
+	return b
 }
 
 // buildDOSStub produces the classic 16-bit stub program: a few real-mode
@@ -127,9 +140,10 @@ func (b *Builder) headersRVA() uint32 {
 	return DefaultSectionAlignment
 }
 
-// SetRelocSites records the RVAs of 32-bit absolute-address fixup sites.
-// Build emits a .reloc section for them and points the base-relocation data
-// directory at it.
+// SetRelocSites records the RVAs of absolute-address fixup sites: 4-byte
+// (HIGHLOW) in a PE32 image, 8-byte (DIR64) in a PE32+ one. Build emits a
+// .reloc section for them and points the base-relocation data directory at
+// it.
 func (b *Builder) SetRelocSites(sites []uint32) { b.relocSites = sites }
 
 // SetImports records the DLL imports. Build emits an INIT section holding
@@ -138,6 +152,9 @@ func (b *Builder) SetImports(imports []Import) { b.imports = imports }
 
 // Build assembles and validates the image.
 func (b *Builder) Build() (*Image, error) {
+	if b.magic == OptionalMagic64 && len(b.imports) > 0 {
+		return nil, fmt.Errorf("pe: build: PE32+ import thunks are not modeled")
+	}
 	secs := append([]builderSection(nil), b.sections...)
 
 	var importDir, relocDir, exportDir DataDirectory
@@ -162,7 +179,11 @@ func (b *Builder) Build() (*Image, error) {
 		importDir = DataDirectory{VirtualAddress: rva, Size: dirSize}
 	}
 	if len(b.relocSites) > 0 {
-		table := BuildRelocTable(b.relocSites)
+		typ := uint16(RelBasedHighLow)
+		if b.magic == OptionalMagic64 {
+			typ = RelBasedDir64
+		}
+		table := BuildRelocTableTyped(b.relocSites, typ)
 		rva := b.rvaAfter(secs, b.headersRVA())
 		secs = append(secs, builderSection{
 			name:  ".reloc",
@@ -185,14 +206,14 @@ func (b *Builder) Build() (*Image, error) {
 		},
 		DOSStub: append([]byte(nil), b.dosStub...),
 		File: FileHeader{
-			Machine:              MachineI386,
+			Machine:              machineFor(b.magic),
 			NumberOfSections:     uint16(len(secs)),
 			TimeDateStamp:        b.timestamp,
-			SizeOfOptionalHeader: OptionalHeader32Size,
+			SizeOfOptionalHeader: uint16(optionalHeaderSize(b.magic)),
 			Characteristics:      b.chars,
 		},
-		Optional: OptionalHeader32{
-			Magic:                       OptionalMagic32,
+		Optional: OptionalHeader{
+			Magic:                       b.magic,
 			MajorLinkerVersion:          7,
 			MinorLinkerVersion:          10,
 			ImageBase:                   b.imageBase,
@@ -212,7 +233,7 @@ func (b *Builder) Build() (*Image, error) {
 	img.Optional.DataDirectory[DirBaseReloc] = relocDir
 
 	headerBytes := uint32(DOSHeaderSize+len(b.dosStub)) + 4 + FileHeaderSize +
-		OptionalHeader32Size + uint32(len(secs))*SectionHeaderSize
+		optionalHeaderSize(b.magic) + uint32(len(secs))*SectionHeaderSize
 	img.Optional.SizeOfHeaders = align(headerBytes, b.fileAlign)
 
 	rva := b.headersRVA()
@@ -241,7 +262,7 @@ func (b *Builder) Build() (*Image, error) {
 			}
 			sizeOfCode += raw
 		} else if s.chars&ScnCntInitializedData != 0 {
-			if img.Optional.BaseOfData == 0 {
+			if img.Optional.BaseOfData == 0 && b.magic == OptionalMagic32 { // PE32+ has no BaseOfData
 				img.Optional.BaseOfData = rva
 			}
 			sizeOfData += raw

@@ -20,20 +20,47 @@ func FuzzParse(f *testing.F) {
 	// A valid header prefix with garbage after.
 	trunc := append([]byte(nil), img[:200]...)
 	f.Add(trunc)
+	// A PE32+ image and a prefix that cuts its optional header short.
+	img64, err := buildSeed64()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img64)
+	f.Add(append([]byte(nil), img64[:0x120]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)
 		if err != nil {
 			return
 		}
-		// Anything that parses must re-serialize and re-parse.
+		// Anything that parses must re-serialize and re-parse, keeping its
+		// magic and address width.
 		raw, err := parsed.Bytes()
 		if err != nil {
 			t.Fatalf("parsed image fails to serialize: %v", err)
 		}
-		if _, err := Parse(raw); err != nil {
+		back, err := Parse(raw)
+		if err != nil {
 			t.Fatalf("round-tripped image fails to parse: %v", err)
 		}
+		if back.Optional.Magic != parsed.Optional.Magic || back.AddrWidth() != parsed.AddrWidth() {
+			t.Fatalf("round trip turned magic %#x (width %d) into %#x (width %d)",
+				parsed.Optional.Magic, parsed.AddrWidth(), back.Optional.Magic, back.AddrWidth())
+		}
 	})
+}
+
+// buildSeed64 creates a valid PE32+ image with DIR64 relocations.
+func buildSeed64() ([]byte, error) {
+	b := NewBuilder64(0x180010000)
+	code := make([]byte, 0x220)
+	code[0] = 0xC3
+	b.AddSection(".text", code, ScnCntCode|ScnMemExecute|ScnMemRead)
+	b.SetRelocSites([]uint32{0x1008})
+	img, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	return img.Bytes()
 }
 
 // buildSeed creates a valid image for the fuzz corpus.

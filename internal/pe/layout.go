@@ -39,8 +39,9 @@ func (img *Image) Layout() ([]byte, error) {
 
 // LayoutAt maps the image and relocates it for a load at base. It returns
 // the relocated in-memory representation, exactly what a VM's guest memory
-// holds for this module.
-func (img *Image) LayoutAt(base uint32) ([]byte, error) {
+// holds for this module. A PE32 image takes a 32-bit base and rewrites
+// 4-byte sites; a PE32+ image rewrites 8-byte sites.
+func (img *Image) LayoutAt(base uint64) ([]byte, error) {
 	mem, err := img.Layout()
 	if err != nil {
 		return nil, err
@@ -50,7 +51,7 @@ func (img *Image) LayoutAt(base uint32) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ApplyRelocations(mem, sites, base-img.Optional.ImageBase); err != nil {
+		if err := ApplyRelocations(mem, sites, base-img.Optional.ImageBase, img.AddrWidth()); err != nil {
 			return nil, err
 		}
 	}

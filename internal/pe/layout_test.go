@@ -100,15 +100,15 @@ func TestLayoutAtTwoBasesRVAInvariant(t *testing.T) {
 	f := func(a, b uint16) bool {
 		base1 := 0xF8000000 + uint32(a)*0x1000
 		base2 := 0xF8000000 + uint32(b)*0x1000
-		m1, err1 := img.LayoutAt(base1)
-		m2, err2 := img.LayoutAt(base2)
+		m1, err1 := img.LayoutAt(uint64(base1))
+		m2, err2 := img.LayoutAt(uint64(base2))
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if err := ApplyRelocations(m1, sites, -base1); err != nil {
+		if err := ApplyRelocations(m1, sites, uint64(-base1), 4); err != nil {
 			return false
 		}
-		if err := ApplyRelocations(m2, sites, -base2); err != nil {
+		if err := ApplyRelocations(m2, sites, uint64(-base2), 4); err != nil {
 			return false
 		}
 		return bytes.Equal(m1, m2)

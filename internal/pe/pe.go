@@ -1,5 +1,6 @@
-// Package pe implements the 32-bit Portable Executable (PE32) image format
-// used by Windows kernel modules (.sys drivers and kernel-mode DLLs).
+// Package pe implements the Portable Executable image format used by
+// Windows kernel modules (.sys drivers and kernel-mode DLLs), at both
+// address widths: PE32 for 32-bit x86 and PE32+ for x86-64.
 //
 // The package is a from-scratch, byte-exact implementation of the subset of
 // the format that the ModChecker paper exercises: the DOS header and stub,
@@ -9,7 +10,12 @@
 // be built (Builder), serialized to their on-disk byte representation
 // (Image.Bytes), parsed back (Parse), laid out in memory the way the kernel
 // module loader maps them (Layout), and relocated to an arbitrary base
-// address (ApplyRelocations).
+// address (LayoutAt, ApplyRelocations).
+//
+// One Image type serves both widths. The optional-header magic picks the
+// wire layout (IMAGE_OPTIONAL_HEADER32 or IMAGE_OPTIONAL_HEADER64) and the
+// relocation type the builder emits (HIGHLOW or DIR64); the decoded
+// OptionalHeader carries every width-dependent field at 64 bits.
 //
 // All multi-byte fields are little-endian, as on x86.
 package pe
@@ -19,7 +25,7 @@ import (
 	"fmt"
 )
 
-// Magic numbers and well-known constants of the PE32 format.
+// Magic numbers and well-known constants of the PE32 and PE32+ formats.
 const (
 	// DOSMagic is the IMAGE_DOS_SIGNATURE "MZ" that opens every PE image.
 	DOSMagic = 0x5A4D
@@ -82,6 +88,7 @@ const (
 	FileExecutableImage   = 0x0002
 	FileLineNumsStripped  = 0x0004
 	FileLocalSymsStripped = 0x0008
+	FileLargeAddressAware = 0x0020
 	File32BitMachine      = 0x0100
 	FileDLL               = 0x2000
 )
@@ -140,8 +147,11 @@ type DataDirectory struct {
 	Size           uint32
 }
 
-// OptionalHeader32 is IMAGE_OPTIONAL_HEADER32 for PE32 images.
-type OptionalHeader32 struct {
+// OptionalHeader is IMAGE_OPTIONAL_HEADER32 or IMAGE_OPTIONAL_HEADER64,
+// chosen by Magic. The PE32+ layout widens ImageBase and the stack and heap
+// sizes to 8 bytes and drops BaseOfData; this struct holds each such field
+// at its widest, and the serializer writes the layout Magic names.
+type OptionalHeader struct {
 	Magic                       uint16
 	MajorLinkerVersion          uint8
 	MinorLinkerVersion          uint8
@@ -150,8 +160,8 @@ type OptionalHeader32 struct {
 	SizeOfUninitializedData     uint32
 	AddressOfEntryPoint         uint32
 	BaseOfCode                  uint32
-	BaseOfData                  uint32
-	ImageBase                   uint32
+	BaseOfData                  uint32 // PE32 only
+	ImageBase                   uint64
 	SectionAlignment            uint32
 	FileAlignment               uint32
 	MajorOperatingSystemVersion uint16
@@ -166,13 +176,34 @@ type OptionalHeader32 struct {
 	CheckSum                    uint32
 	Subsystem                   uint16
 	DllCharacteristics          uint16
-	SizeOfStackReserve          uint32
-	SizeOfStackCommit           uint32
-	SizeOfHeapReserve           uint32
-	SizeOfHeapCommit            uint32
+	SizeOfStackReserve          uint64
+	SizeOfStackCommit           uint64
+	SizeOfHeapReserve           uint64
+	SizeOfHeapCommit            uint64
 	LoaderFlags                 uint32
 	NumberOfRvaAndSizes         uint32
 	DataDirectory               [NumDataDirectories]DataDirectory
+}
+
+// optionalHeaderSize returns the wire size of the optional header magic
+// names, or 0 for an unknown magic.
+func optionalHeaderSize(magic uint16) uint32 {
+	switch magic {
+	case OptionalMagic32:
+		return OptionalHeader32Size
+	case OptionalMagic64:
+		return OptionalHeader64Size
+	}
+	return 0
+}
+
+// machineFor is the file-header Machine each optional-header magic pairs
+// with.
+func machineFor(magic uint16) uint16 {
+	if magic == OptionalMagic64 {
+		return MachineAMD64
+	}
+	return MachineI386
 }
 
 // SectionHeader is IMAGE_SECTION_HEADER.
@@ -226,14 +257,23 @@ type Section struct {
 	Data   []byte
 }
 
-// Image is a complete in-file PE32 image: DOS header + stub, NT headers,
-// section table and section data.
+// Image is a complete in-file PE32 or PE32+ image: DOS header + stub, NT
+// headers, section table and section data.
 type Image struct {
 	DOS      DOSHeader
 	DOSStub  []byte // bytes between the DOS header and the NT headers
 	File     FileHeader
-	Optional OptionalHeader32
+	Optional OptionalHeader
 	Sections []Section
+}
+
+// AddrWidth returns the image's pointer width in bytes: 8 for PE32+, 4 for
+// PE32. It is the width of every absolute address a relocation rewrites.
+func (img *Image) AddrWidth() int {
+	if img.Optional.Magic == OptionalMagic64 {
+		return 8
+	}
+	return 4
 }
 
 // ErrFormat is wrapped by all parse/validation failures in this package.
@@ -274,19 +314,24 @@ func (img *Image) Validate() error {
 	if img.DOS.EMagic != DOSMagic {
 		return formatErr("bad DOS magic %#04x", img.DOS.EMagic)
 	}
-	if img.Optional.Magic != OptionalMagic32 {
+	size := optionalHeaderSize(img.Optional.Magic)
+	if size == 0 {
 		return formatErr("bad optional-header magic %#04x", img.Optional.Magic)
 	}
-	if img.File.Machine != MachineI386 {
-		return formatErr("unsupported machine %#04x", img.File.Machine)
+	if img.File.Machine != machineFor(img.Optional.Magic) {
+		return formatErr("unsupported machine %#04x for optional-header magic %#04x",
+			img.File.Machine, img.Optional.Magic)
 	}
 	if int(img.File.NumberOfSections) != len(img.Sections) {
 		return formatErr("NumberOfSections %d but %d sections present",
 			img.File.NumberOfSections, len(img.Sections))
 	}
-	if img.File.SizeOfOptionalHeader != OptionalHeader32Size {
+	if uint32(img.File.SizeOfOptionalHeader) != size {
 		return formatErr("SizeOfOptionalHeader %d, want %d",
-			img.File.SizeOfOptionalHeader, OptionalHeader32Size)
+			img.File.SizeOfOptionalHeader, size)
+	}
+	if hs := img.HeadersSize(); img.Optional.SizeOfHeaders < hs {
+		return formatErr("SizeOfHeaders %d smaller than the %d bytes of headers", img.Optional.SizeOfHeaders, hs)
 	}
 	if img.Optional.FileAlignment == 0 || img.Optional.SectionAlignment == 0 {
 		return formatErr("zero alignment")

@@ -2,6 +2,7 @@ package pe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -446,5 +447,68 @@ func TestSetDOSStubRawPreserved(t *testing.T) {
 	}
 	if !bytes.Equal(img.DOSStub, stub) {
 		t.Error("stub not preserved verbatim")
+	}
+}
+
+// TestParseReportsWidthPerMagic: the optional-header magic picks the
+// layout, and Parse reports the matching machine and address width.
+func TestParseReportsWidthPerMagic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		b       *Builder
+		magic   uint16
+		machine uint16
+		width   int
+	}{
+		{"PE32", NewBuilder(0x10000), OptionalMagic32, MachineI386, 4},
+		{"PE32+", NewBuilder64(0x180010000), OptionalMagic64, MachineAMD64, 8},
+	} {
+		tc.b.AddSection(".text", make([]byte, 0x200), ScnCntCode|ScnMemExecute|ScnMemRead)
+		tc.b.SetRelocSites([]uint32{0x1010})
+		built, err := tc.b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, err := built.Bytes()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		img, err := Parse(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if img.Optional.Magic != tc.magic || img.File.Machine != tc.machine || img.AddrWidth() != tc.width {
+			t.Errorf("%s: magic %#x machine %#x width %d", tc.name, img.Optional.Magic, img.File.Machine, img.AddrWidth())
+		}
+		if img.Optional != built.Optional {
+			t.Errorf("%s: optional header differs after round trip", tc.name)
+		}
+		sites, err := img.RelocSites()
+		if err != nil || len(sites) != 1 || sites[0] != 0x1010 {
+			t.Errorf("%s: reloc sites %v (%v)", tc.name, sites, err)
+		}
+	}
+}
+
+// TestParseRejectsOptionalSizeMagicMismatch: SizeOfOptionalHeader must be
+// the size the magic names, so a PE32 header cannot claim PE32+ fields or
+// the other way round.
+func TestParseRejectsOptionalSizeMagicMismatch(t *testing.T) {
+	for _, b := range []*Builder{NewBuilder(0x10000), NewBuilder64(0x180010000)} {
+		b.AddSection(".text", make([]byte, 0x200), ScnCntCode|ScnMemExecute|ScnMemRead)
+		img, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := img.Bytes()
+		other := uint16(OptionalHeader64Size)
+		if img.AddrWidth() == 8 {
+			other = OptionalHeader32Size
+		}
+		// SizeOfOptionalHeader sits 16 bytes into the file header.
+		binary.LittleEndian.PutUint16(raw[img.DOS.ELfanew+4+16:], other)
+		if _, err := Parse(raw); !errors.Is(err, ErrFormat) {
+			t.Errorf("magic %#x with SizeOfOptionalHeader %d: err = %v", img.Optional.Magic, other, err)
+		}
 	}
 }

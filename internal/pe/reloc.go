@@ -68,7 +68,7 @@ func BuildRelocTableTyped(sites []uint32, typ uint16) []byte {
 }
 
 // ParseRelocTable decodes a base-relocation table and returns the RVAs of
-// all HIGHLOW fixup sites, in ascending order.
+// all HIGHLOW and DIR64 fixup sites, in ascending order.
 func ParseRelocTable(table []byte) ([]uint32, error) {
 	le := binary.LittleEndian
 	var sites []uint32
@@ -101,8 +101,8 @@ func ParseRelocTable(table []byte) ([]uint32, error) {
 }
 
 // RelocSites parses the image's .reloc data directory and returns the RVAs
-// of all HIGHLOW fixup sites. Images with no relocation directory return an
-// empty slice.
+// of all fixup sites. Images with no relocation directory return an empty
+// slice.
 func (img *Image) RelocSites() ([]uint32, error) {
 	dir := img.Optional.DataDirectory[DirBaseReloc]
 	if dir.VirtualAddress == 0 || dir.Size == 0 {
@@ -121,19 +121,24 @@ func (img *Image) RelocSites() ([]uint32, error) {
 	return ParseRelocTable(sec.Data[start:end])
 }
 
-// ApplyRelocations rewrites every HIGHLOW fixup site in the mapped image
-// (mem is the in-memory layout, indexed by RVA) by adding delta, the
-// difference between the actual load base and the preferred ImageBase. This
-// is precisely what the Windows kernel module loader does at load time, and
+// ApplyRelocations rewrites every fixup site in the mapped image (mem is
+// the in-memory layout, indexed by RVA) by adding delta, the difference
+// between the actual load base and the preferred ImageBase, to the width-
+// byte address stored there: 4 for HIGHLOW sites, 8 for DIR64. This is
+// precisely what the Windows kernel module loader does at load time, and
 // what makes the same module's executable bytes differ between VMs loaded
 // at different bases (the effect ModChecker's Integrity-Checker reverses).
-func ApplyRelocations(mem []byte, sites []uint32, delta uint32) error {
+func ApplyRelocations(mem []byte, sites []uint32, delta uint64, width int) error {
 	le := binary.LittleEndian
 	for _, rva := range sites {
-		if int(rva)+4 > len(mem) {
+		if int(rva)+width > len(mem) {
 			return formatErr("relocation site %#x outside image of %#x bytes", rva, len(mem))
 		}
-		le.PutUint32(mem[rva:], le.Uint32(mem[rva:])+delta)
+		if width == 8 {
+			le.PutUint64(mem[rva:], le.Uint64(mem[rva:])+delta)
+		} else {
+			le.PutUint32(mem[rva:], le.Uint32(mem[rva:])+uint32(delta))
+		}
 	}
 	return nil
 }

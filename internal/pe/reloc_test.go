@@ -108,7 +108,7 @@ func TestApplyRelocations(t *testing.T) {
 	le := binary.LittleEndian
 	le.PutUint32(mem[0x10:], 0x00011234)
 	le.PutUint32(mem[0x20:], 0x00015678)
-	if err := ApplyRelocations(mem, []uint32{0x10, 0x20}, 0x00100000); err != nil {
+	if err := ApplyRelocations(mem, []uint32{0x10, 0x20}, 0x00100000, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := le.Uint32(mem[0x10:]); got != 0x00111234 {
@@ -124,7 +124,7 @@ func TestApplyRelocationsWraps(t *testing.T) {
 	mem := make([]byte, 8)
 	binary.LittleEndian.PutUint32(mem, 0x00020000)
 	delta := uint32(0xFFFF0000) // -0x10000
-	if err := ApplyRelocations(mem, []uint32{0}, delta); err != nil {
+	if err := ApplyRelocations(mem, []uint32{0}, uint64(delta), 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint32(mem); got != 0x00010000 {
@@ -134,7 +134,7 @@ func TestApplyRelocationsWraps(t *testing.T) {
 
 func TestApplyRelocationsOutOfRange(t *testing.T) {
 	mem := make([]byte, 8)
-	if err := ApplyRelocations(mem, []uint32{6}, 1); err == nil {
+	if err := ApplyRelocations(mem, []uint32{6}, 1, 4); err == nil {
 		t.Error("site crossing the end accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestApplyInverseRecoversRVAs(t *testing.T) {
 	for i, s := range sites {
 		le.PutUint32(mem[s:], preferred+rvas[i])
 	}
-	if err := ApplyRelocations(mem, sites, actual-preferred); err != nil {
+	if err := ApplyRelocations(mem, sites, actual-preferred, 4); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range sites {
@@ -247,10 +247,10 @@ func TestApplyRelocationsQuick(t *testing.T) {
 				last = int(s)
 			}
 		}
-		if err := ApplyRelocations(mem, spaced, delta); err != nil {
+		if err := ApplyRelocations(mem, spaced, uint64(delta), 4); err != nil {
 			return false
 		}
-		if err := ApplyRelocations(mem, spaced, -delta); err != nil {
+		if err := ApplyRelocations(mem, spaced, uint64(-delta), 4); err != nil {
 			return false
 		}
 		return string(mem) == string(orig)

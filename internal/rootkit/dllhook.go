@@ -89,6 +89,9 @@ func DLLHook(image []byte, dll, function string) ([]byte, *DLLHookReport, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rootkit: dll hook: %w", err)
 	}
+	if img.AddrWidth() != 4 {
+		return nil, nil, fmt.Errorf("rootkit: dll hook: %w: PE32+ image (the hook is a 32-bit CALL [abs32])", ErrNoTarget)
+	}
 	oldImports, err := img.ParseImports()
 	if err != nil {
 		return nil, nil, fmt.Errorf("rootkit: dll hook: reading imports: %w", err)
@@ -128,7 +131,7 @@ func DLLHook(image []byte, dll, function string) ([]byte, *DLLHookReport, error)
 	}
 	call := make([]byte, 6)
 	call[0], call[1] = 0xFF, 0x15 // CALL dword ptr [abs32]
-	binary.LittleEndian.PutUint32(call[2:], img.Optional.ImageBase+thunkRVA)
+	binary.LittleEndian.PutUint32(call[2:], uint32(img.Optional.ImageBase)+thunkRVA)
 	callSiteRVA := text.Header.VirtualAddress + caveOff
 
 	// Pass 2: rebuild with the patched code and a relocation entry for the
@@ -161,7 +164,7 @@ func DLLHook(image []byte, dll, function string) ([]byte, *DLLHookReport, error)
 // contents but re-aligning raw data the way PE editing tools do. extraSecs
 // allows appending sections (unused by DLLHook but exercised in tests).
 func rebuild(img *pe.Image, imports []pe.Import, relocSites []uint32, extraSecs []pe.Section) (*pe.Image, error) {
-	b := pe.NewBuilder(img.Optional.ImageBase)
+	b := pe.NewBuilder(uint32(img.Optional.ImageBase))
 	b.SetDOSStubRaw(img.DOSStub)
 	b.SetEntryPoint(img.Optional.AddressOfEntryPoint)
 	b.SetFileAlignment(rebuildFileAlignment)

@@ -2,6 +2,7 @@ package rootkit
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"modchecker/internal/guest"
@@ -59,8 +60,8 @@ func TestDLLHookPatchesCode(t *testing.T) {
 	}
 	operand := uint32(text.Data[off+2]) | uint32(text.Data[off+3])<<8 |
 		uint32(text.Data[off+4])<<16 | uint32(text.Data[off+5])<<24
-	if operand != img.Optional.ImageBase+rep.ThunkRVA {
-		t.Errorf("call operand %#x, want base+thunk %#x", operand, img.Optional.ImageBase+rep.ThunkRVA)
+	if operand != uint32(img.Optional.ImageBase)+rep.ThunkRVA {
+		t.Errorf("call operand %#x, want base+thunk %#x", operand, uint32(img.Optional.ImageBase)+rep.ThunkRVA)
 	}
 	// The operand must be covered by a relocation so the loader fixes it.
 	sites, err := img.RelocSites()
@@ -129,12 +130,12 @@ func TestDLLHookLoadsAndRuns(t *testing.T) {
 	}
 	mod := g.Module("victim.sys")
 	var b [6]byte
-	if err := g.AddressSpace().Read(mod.Base+rep.CallSite, b[:]); err != nil {
+	if err := g.AddressSpace().Read(mod.Base+uint64(rep.CallSite), b[:]); err != nil {
 		t.Fatal(err)
 	}
 	operand := uint32(b[2]) | uint32(b[3])<<8 | uint32(b[4])<<16 | uint32(b[5])<<24
-	if operand != mod.Base+rep.ThunkRVA {
-		t.Errorf("loaded call operand %#x, want relocated thunk %#x", operand, mod.Base+rep.ThunkRVA)
+	if uint64(operand) != mod.Base+uint64(rep.ThunkRVA) {
+		t.Errorf("loaded call operand %#x, want relocated thunk %#x", operand, mod.Base+uint64(rep.ThunkRVA))
 	}
 }
 
@@ -265,5 +266,17 @@ func TestBuildInjectDLLDeterministic(t *testing.T) {
 	b, _ := BuildInjectDLL("inject.dll", []string{"callMessageBox"})
 	if !bytes.Equal(a, b) {
 		t.Error("inject.dll builds differ")
+	}
+}
+
+// TestDLLHookRejectsPE32Plus: the hook is a 32-bit CALL [abs32] through a
+// PE32 import thunk, so a PE32+ image is no target.
+func TestDLLHookRejectsPE32Plus(t *testing.T) {
+	raw, err := guest.BuildImage(guest.StandardCatalog64()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DLLHook(raw, "inject.dll", "callMessageBox"); !errors.Is(err, ErrNoTarget) {
+		t.Errorf("DLLHook on a PE32+ image: %v, want ErrNoTarget", err)
 	}
 }

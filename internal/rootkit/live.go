@@ -31,13 +31,17 @@ func InlineHookLive(g *guest.Guest, moduleName string) (*HookReport, error) {
 		return nil, fmt.Errorf("rootkit: %s at %#x has no DOS magic", moduleName, mod.Base)
 	}
 	lfanew := le.Uint32(hdr[0x3C:])
-	if lfanew+4+pe.FileHeaderSize+pe.OptionalHeader32Size >= 4096 {
+	if lfanew+4+pe.FileHeaderSize >= 4096 {
 		return nil, fmt.Errorf("rootkit: %s headers exceed first page", moduleName)
 	}
 	numSections := le.Uint16(hdr[lfanew+4+2:])
+	optSize := uint32(le.Uint16(hdr[lfanew+4+16:])) // SizeOfOptionalHeader, per the PE magic
 	optOff := lfanew + 4 + pe.FileHeaderSize
+	if optOff+optSize+uint32(numSections)*pe.SectionHeaderSize > 4096 {
+		return nil, fmt.Errorf("rootkit: %s headers exceed first page", moduleName)
+	}
 	entryRVA := le.Uint32(hdr[optOff+16:])
-	secOff := optOff + pe.OptionalHeader32Size
+	secOff := optOff + optSize
 
 	var textRVA, textSize uint32
 	for i := uint32(0); i < uint32(numSections); i++ {
@@ -53,14 +57,14 @@ func InlineHookLive(g *guest.Guest, moduleName string) (*HookReport, error) {
 	}
 
 	code := make([]byte, textSize)
-	if err := as.Read(mod.Base+textRVA, code); err != nil {
+	if err := as.Read(mod.Base+uint64(textRVA), code); err != nil {
 		return nil, fmt.Errorf("rootkit: reading %s .text: %w", moduleName, err)
 	}
 	rep, err := installHook(code, entryRVA-textRVA)
 	if err != nil {
 		return nil, err
 	}
-	if err := as.Write(mod.Base+textRVA, code); err != nil {
+	if err := as.Write(mod.Base+uint64(textRVA), code); err != nil {
 		return nil, fmt.Errorf("rootkit: writing %s .text: %w", moduleName, err)
 	}
 	rep.VictimRVA += textRVA
@@ -79,7 +83,7 @@ func PatchLiveBytes(g *guest.Guest, moduleName string, rva uint32, data []byte) 
 	if uint64(rva)+uint64(len(data)) > uint64(mod.SizeOfImage) {
 		return fmt.Errorf("rootkit: patch [%#x,%#x) outside %s image", rva, int(rva)+len(data), moduleName)
 	}
-	return g.AddressSpace().Write(mod.Base+rva, data)
+	return g.AddressSpace().Write(mod.Base+uint64(rva), data)
 }
 
 // InfectDiskAndReload applies a disk-image mutation and cycles the module

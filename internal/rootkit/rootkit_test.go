@@ -262,7 +262,7 @@ func TestInlineHookLive(t *testing.T) {
 	}
 	// The victim's first instruction in guest memory is now a JMP.
 	var b [1]byte
-	g.AddressSpace().Read(mod.Base+rep.VictimRVA, b[:])
+	g.AddressSpace().Read(mod.Base+uint64(rep.VictimRVA), b[:])
 	if b[0] != 0xE9 {
 		t.Errorf("victim byte = %#02x, want E9 (jmp)", b[0])
 	}

@@ -121,7 +121,7 @@ func XPSP2Profile(psLoadedModuleList uint32) Profile {
 }
 
 // Win7x64Profile returns the profile for the simulated 64-bit Windows 7
-// guests built by internal/amd64.
+// guests: a guest.Guest booted from a disk of PE32+ images.
 func Win7x64Profile(psLoadedModuleList uint64) Profile {
 	return Profile{
 		OSName:  "Win7SP1x64",

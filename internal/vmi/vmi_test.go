@@ -284,7 +284,7 @@ func TestConcurrentReads(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for j := 0; j < 50; j++ {
 				off := uint32(rng.Intn(int(mod.SizeOfImage) - 64))
-				if err := h.ReadVA(uint64(mod.Base+off), make([]byte, 64)); err != nil {
+				if err := h.ReadVA(mod.Base+uint64(off), make([]byte, 64)); err != nil {
 					t.Errorf("concurrent read: %v", err)
 					return
 				}

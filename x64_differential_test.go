@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"modchecker/internal/amd64"
 	"modchecker/internal/core"
+	"modchecker/internal/guest"
 	"modchecker/internal/pe"
 	"modchecker/internal/vmi"
 )
@@ -14,17 +14,17 @@ import (
 // x64Pool boots four simulated Windows-x64 guests and opens a target on
 // each through the Win7x64 profile: the same core.Target the 32-bit cloud
 // hands the checker, at the other pointer width.
-func x64Pool(t *testing.T) ([]*amd64.Guest64, []core.Target) {
+func x64Pool(t *testing.T) ([]*guest.Guest, []core.Target) {
 	t.Helper()
-	disk, err := amd64.BuildStandardDisk64()
+	disk, err := guest.BuildStandardDisk64()
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := vmi.Win7x64Profile(amd64.PsLoadedModuleList64VA)
-	guests := make([]*amd64.Guest64, 4)
+	profile := vmi.Win7x64Profile(guest.PsLoadedModuleList64VA)
+	guests := make([]*guest.Guest, 4)
 	targets := make([]core.Target, 4)
 	for i := range guests {
-		g, err := amd64.NewGuest64(amd64.Config64{
+		g, err := guest.New(guest.Config{
 			Name:     fmt.Sprintf("Win7x64-%d", i+1),
 			BootSeed: int64(i+1) * 7919,
 			Disk:     disk,
@@ -46,22 +46,22 @@ func x64Pool(t *testing.T) ([]*amd64.Guest64, []core.Target) {
 func TestClusteredMatchesPairwiseX64(t *testing.T) {
 	scenarios := []struct {
 		name, module string
-		tamper       func(t *testing.T, g *amd64.Guest64)
+		tamper       func(t *testing.T, g *guest.Guest)
 		// wantMismatch is the tampered VM's (Win7x64-2) only mismatched
 		// component; empty for the clean pool.
 		wantMismatch string
 	}{
-		{"clean", "hal.dll", func(*testing.T, *amd64.Guest64) {}, ""},
-		{"text-patch", "tcpip.sys", func(t *testing.T, g *amd64.Guest64) {
+		{"clean", "hal.dll", func(*testing.T, *guest.Guest) {}, ""},
+		{"text-patch", "tcpip.sys", func(t *testing.T, g *guest.Guest) {
 			mod := g.Module("tcpip.sys")
 			if err := g.AddressSpace().Write(mod.Base+0x1100, []byte{0xCC, 0xCC, 0xCC, 0xCC}); err != nil {
 				t.Fatal(err)
 			}
 		}, ".text"},
-		{"optional-header-flip", "hal.dll", func(t *testing.T, g *amd64.Guest64) {
+		{"optional-header-flip", "hal.dll", func(t *testing.T, g *guest.Guest) {
 			mod := g.Module("hal.dll")
 			hdr := make([]byte, 0x40)
-			if err := g.Read(mod.Base, hdr); err != nil {
+			if err := g.AddressSpace().Read(mod.Base, hdr); err != nil {
 				t.Fatal(err)
 			}
 			lfanew := uint64(binary.LittleEndian.Uint32(hdr[0x3C:]))
