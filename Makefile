@@ -70,9 +70,11 @@ chaos-poison:
 	CHAOS_SEEDS=1 $(GO) test -race -count=1 -timeout 10m -tags modpoison ./internal/stress/chaos
 
 # The benchmark trajectory: the paper's Figure 7/8 runtime curves, the
-# Section V-B detection scenarios, and the Fig7Sweep15 legacy-vs-pipeline
-# headline pair, rendered to $(BENCHOUT) by cmd/benchjson (host ns/op,
-# sim-ms/op, allocs/op, ptwalks/op, plus the baseline comparison). The file
+# Section V-B detection scenarios, the Fig7Sweep15 legacy-vs-pipeline
+# headline pair, and one run of each repository-benchmark workload
+# (perfbench/run.sh, 5 s each, seed 1), rendered to $(BENCHOUT)
+# by cmd/benchjson (host ns/op, sim-ms/op, allocs/op, ptwalks/op, each
+# workload's six end-to-end medians, plus the baseline comparison). The file
 # is named after the change it measures: `make bench PR=<n>` writes
 # BENCH_<n>.json; BENCHOUT=path overrides the name.
 bench:
@@ -83,8 +85,13 @@ bench:
 		-benchtime $(BENCHTIME) -benchmem . > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep' -benchtime 1x -benchmem . >> bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCachedSweep' -benchtime 1x -benchmem . >> bench.out
+	@for w in paper15 fleet300_cached_churn fleet100k_lean; do \
+		echo "perfbench $$w (5 s)"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 > perfbench.out || exit 1; \
+		echo "perfbench $$w $$(tail -n 1 perfbench.out)" >> bench.out; \
+	done
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) < bench.out
-	@rm -f bench.out
+	@rm -f bench.out perfbench.out
 	@echo "wrote $(BENCHOUT)"
 
 # One-iteration bench sanity run for CI: fails on benchmark errors (a sweep
@@ -109,11 +116,13 @@ fleet-smoke:
 # tag, which scribbles every recycled fetch/scratch buffer to surface
 # use-after-put bugs as garbage digests. The pool engine recycles
 # non-representative buffers early on every path, so every oracle
-# differential runs poisoned.
+# differential runs poisoned, and so does the digest memo's differential
+# (TestDigestMemo*), whose memoized scratch buffers must outlive the module
+# check's digest stage.
 cache-smoke:
 	$(GO) test -count=1 -run 'TestCached|TestTargetIdentity|TestResumeResamplesIdentity' .
 	$(GO) test -count=1 ./internal/cas
-	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean|TestClusteredMatchesPairwise' . ./internal/core
+	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean|TestClusteredMatchesPairwise|TestDigestMemo' . ./internal/core
 
 # Traced 15-VM sweep through the CLI, validated by cmd/tracecheck: the
 # Chrome trace export must stay structurally loadable (Perfetto) and
@@ -138,6 +147,7 @@ profile:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModule$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizePair$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDigestReplay$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRelocTable$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseImports$$' -fuzztime=$(FUZZTIME) ./internal/pe

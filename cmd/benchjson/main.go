@@ -5,10 +5,14 @@
 // (sim-ms/op, ptwalks/op, ...), and a summary block compares the
 // Fig7Sweep15 legacy/pipeline pair — the PR's headline numbers.
 //
+// Lines of the form "perfbench <workload> <json>" carry one run of the
+// repository benchmark (perfbench/run.sh), whose last output line is the
+// JSON result; their end-to-end medians are stored beside the go-test legs.
+//
 // It also compares the run against the repository's newest prior
 // BENCH_<n>.json (excluding the one being written) and prints per-benchmark
-// deltas for ns/op, B/op, and sim-ms/op, flagging regressions over 10% —
-// the CI job summary's trend table.
+// deltas for ns/op, B/op, and sim-ms/op, plus every perfbench end-to-end
+// metric, flagging regressions over 10% — the CI job summary's trend table.
 //
 // Usage:
 //
@@ -26,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -43,6 +48,14 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// Workload is one perfbench workload run: whether every verdict was right,
+// and its end-to-end metrics (medians over the run's sweeps), keyed by name.
+type Workload struct {
+	Name    string             `json:"name"`
+	Correct bool               `json:"correct"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
 // Output is the BENCH_<n>.json document.
 type Output struct {
 	GoVersion  string            `json:"go_version"`
@@ -50,7 +63,35 @@ type Output struct {
 	GOARCH     string            `json:"goarch"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
+	Perfbench  []Workload        `json:"perfbench,omitempty"`
 	Summary    map[string]string `json:"summary,omitempty"`
+}
+
+// parsePerfbench parses one "perfbench <workload> <json>" line, where json
+// is perfbench's result document.
+func parsePerfbench(line string) (Workload, bool, error) {
+	rest, ok := strings.CutPrefix(line, "perfbench ")
+	if !ok {
+		return Workload{}, false, nil
+	}
+	name, doc, ok := strings.Cut(rest, " ")
+	if !ok {
+		return Workload{}, true, fmt.Errorf("perfbench line without a result: %q", line)
+	}
+	var res struct {
+		Correct bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(doc), &res); err != nil {
+		return Workload{}, true, fmt.Errorf("perfbench %s result: %w", name, err)
+	}
+	w := Workload{Name: name, Correct: res.Correct, Metrics: make(map[string]float64, len(res.Metrics))}
+	for k, m := range res.Metrics {
+		w.Metrics[k] = m.Value
+	}
+	return w, true, nil
 }
 
 // parseLine parses one "BenchmarkName-8  N  v unit  v unit ..." line.
@@ -171,9 +212,13 @@ func chaosSummary(pipeline, chaos *Benchmark, s map[string]string) map[string]st
 	return s
 }
 
-// regressionThreshold is the relative growth in a cost metric above which a
-// delta row is flagged. All compared metrics are costs: higher is worse.
+// regressionThreshold is the relative worsening above which a delta row is
+// flagged. Every compared metric is a cost (higher is worse) except the
+// throughputs in higherIsBetter.
 const regressionThreshold = 10.0
+
+// higherIsBetter names the compared metrics that regress when they fall.
+var higherIsBetter = map[string]bool{"checks_per_s": true}
 
 // deltaRow is one benchmark metric compared against the baseline run.
 type deltaRow struct {
@@ -240,8 +285,9 @@ func sameFile(a, b string) bool {
 }
 
 // compareRuns lines the current run up against the baseline, benchmark by
-// benchmark, over the three tracked cost metrics. Benchmarks present on only
-// one side are skipped — a new benchmark has no trend yet.
+// benchmark, over the three tracked cost metrics, then perfbench workload by
+// workload over every end-to-end metric. Benchmarks and workloads present on
+// only one side are skipped — a new one has no trend yet.
 func compareRuns(baseline, current *Output) []deltaRow {
 	prior := make(map[string]*Benchmark, len(baseline.Benchmarks))
 	for i := range baseline.Benchmarks {
@@ -262,6 +308,17 @@ func compareRuns(baseline, current *Output) []deltaRow {
 		}
 	}
 	var rows []deltaRow
+	addRow := func(bench, metric string, ov, nv float64) {
+		pct := 100 * (nv - ov) / ov
+		worse := pct
+		if higherIsBetter[metric] {
+			worse = -pct
+		}
+		rows = append(rows, deltaRow{
+			Bench: bench, Metric: metric, Old: ov, New: nv,
+			Pct: pct, Regressed: worse > regressionThreshold,
+		})
+	}
 	for i := range current.Benchmarks {
 		cur := &current.Benchmarks[i]
 		old, ok := prior[cur.Name]
@@ -274,11 +331,27 @@ func compareRuns(baseline, current *Output) []deltaRow {
 			if !ook || !nok || ov == 0 {
 				continue
 			}
-			pct := 100 * (nv - ov) / ov
-			rows = append(rows, deltaRow{
-				Bench: cur.Name, Metric: metric, Old: ov, New: nv,
-				Pct: pct, Regressed: pct > regressionThreshold,
-			})
+			addRow(cur.Name, metric, ov, nv)
+		}
+	}
+	priorRuns := make(map[string]Workload, len(baseline.Perfbench))
+	for _, w := range baseline.Perfbench {
+		priorRuns[w.Name] = w
+	}
+	for _, w := range current.Perfbench {
+		old, ok := priorRuns[w.Name]
+		if !ok {
+			continue
+		}
+		metrics := make([]string, 0, len(w.Metrics))
+		for m := range w.Metrics {
+			metrics = append(metrics, m)
+		}
+		sort.Strings(metrics)
+		for _, m := range metrics {
+			if ov, ok := old.Metrics[m]; ok && ov != 0 {
+				addRow("perfbench/"+w.Name, m, ov, w.Metrics[m])
+			}
 		}
 	}
 	return rows
@@ -336,6 +409,14 @@ func main() {
 		line := sc.Text()
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
 			doc.CPU = cpu
+			continue
+		}
+		if w, ok, err := parsePerfbench(line); ok {
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				os.Exit(1)
+			}
+			doc.Perfbench = append(doc.Perfbench, w)
 			continue
 		}
 		if b, ok := parseLine(line); ok {

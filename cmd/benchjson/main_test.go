@@ -98,3 +98,42 @@ func TestParseLineCustomMetrics(t *testing.T) {
 		t.Error("non-benchmark line parsed")
 	}
 }
+
+func TestParsePerfbench(t *testing.T) {
+	w, ok, err := parsePerfbench(`perfbench paper15 {"correct":true,"attempted":10,"failed":0,"metrics":{"sweep_s_p50":{"value":0.04,"unit":"s"},"checks_per_s":{"value":2600,"unit":"1/s"}}}`)
+	if !ok || err != nil {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	if w.Name != "paper15" || !w.Correct || w.Metrics["sweep_s_p50"] != 0.04 || w.Metrics["checks_per_s"] != 2600 {
+		t.Errorf("parsed %+v", w)
+	}
+	if _, ok, err := parsePerfbench("perfbench paper15 {not json"); !ok || err == nil {
+		t.Errorf("malformed result: ok=%v err=%v, want a parse error", ok, err)
+	}
+	if _, ok, _ := parsePerfbench("BenchmarkFig7Sweep15/pipeline-8 12 94821 ns/op"); ok {
+		t.Error("go-test line taken for a perfbench line")
+	}
+}
+
+func TestCompareRunsPerfbenchDirection(t *testing.T) {
+	run := func(sweep, checks float64) *Output {
+		return &Output{Perfbench: []Workload{{Name: "paper15", Correct: true,
+			Metrics: map[string]float64{"sweep_s_p50": sweep, "checks_per_s": checks}}}}
+	}
+	// Both worsen by 20%: a slower sweep and a lower throughput regress.
+	rows := compareRuns(run(0.05, 2000), run(0.06, 1600))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %+v", rows)
+	}
+	for _, r := range rows {
+		if r.Bench != "perfbench/paper15" || !r.Regressed {
+			t.Errorf("row %+v: want a perfbench regression", r)
+		}
+	}
+	// Both improve: nothing is flagged.
+	for _, r := range compareRuns(run(0.05, 2000), run(0.04, 2500)) {
+		if r.Regressed {
+			t.Errorf("row %+v flagged as a regression", r)
+		}
+	}
+}

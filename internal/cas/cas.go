@@ -100,10 +100,14 @@ type Store struct {
 	mu         sync.Mutex
 	digests    map[string]Entry
 	mismatches map[string][]string
-	order      []storeKey // insertion order across both maps, for FIFO eviction
-	max        int
-	stats      Stats
-	log        *logFile // nil: in-memory only
+	// names holds, per module, the last component-name list a digest entry
+	// stored. Every copy of one module version has the same names, so equal
+	// entries share that one slice instead of a copy each.
+	names map[string][]string
+	order []storeKey // insertion order across both maps, for FIFO eviction
+	max   int
+	stats Stats
+	log   *logFile // nil: in-memory only
 }
 
 // NewStore creates an in-memory store. maxEntries bounds the total entry
@@ -116,6 +120,7 @@ func NewStore(maxEntries int) *Store {
 	return &Store{
 		digests:    make(map[string]Entry),
 		mismatches: make(map[string][]string),
+		names:      make(map[string][]string),
 		max:        maxEntries,
 	}
 }
@@ -157,7 +162,8 @@ func appendToken(b []byte, t Token) []byte {
 
 // LookupDigest returns the cached digest entry for one VM's copy of module
 // against the reference image ref, where own is the VM's current token.
-// Invalid tokens never hit.
+// Invalid tokens never hit. The entry's Names may be shared with other
+// entries and must not be modified.
 func (s *Store) LookupDigest(module string, ref, own Token) (Entry, bool) {
 	if !ref.OK || !own.OK {
 		return Entry{}, false
@@ -185,7 +191,12 @@ func (s *Store) InsertDigest(module string, ref, own Token, e Entry) {
 	if old, ok := s.digests[key]; ok && old.Key == e.Key && equalStrings(old.Names, e.Names) {
 		return
 	}
-	e.Names = append([]string(nil), e.Names...)
+	if names, ok := s.names[module]; ok && equalStrings(names, e.Names) {
+		e.Names = names
+	} else {
+		e.Names = append([]string(nil), e.Names...)
+		s.names[module] = e.Names
+	}
 	s.insertLocked(storeKey{kindDigest, key}, func() { s.digests[key] = e })
 	if s.log != nil {
 		s.log.appendDigest(module, ref, own, e)

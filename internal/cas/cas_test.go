@@ -111,6 +111,35 @@ func TestInsertCopiesCallerSlices(t *testing.T) {
 	}
 }
 
+// TestInsertDigestSharesEqualNames: digest entries of one module with equal
+// component names share one stored slice, and an entry with other names
+// keeps its own.
+func TestInsertDigestSharesEqualNames(t *testing.T) {
+	s := NewStore(0)
+	ref := tok(1, 0)
+	v1, v2 := []string{".text", ".data"}, []string{".text", "INIT"}
+	for own, names := range [][]string{v1, append([]string(nil), v1...), v2, v1} {
+		s.InsertDigest("m", ref, tok(uint64(own+2), 0), Entry{Key: "k", Names: names})
+	}
+	lookup := func(own uint64) []string {
+		e, ok := s.LookupDigest("m", ref, tok(own, 0))
+		if !ok {
+			t.Fatalf("entry %d missing", own)
+		}
+		return e.Names
+	}
+	a, b, c, d := lookup(2), lookup(3), lookup(4), lookup(5)
+	if &a[0] != &b[0] {
+		t.Error("equal names stored twice")
+	}
+	if !equalStrings(c, v2) || &c[0] == &a[0] {
+		t.Errorf("other names = %v, want their own %v", c, v2)
+	}
+	if !equalStrings(a, v1) || !equalStrings(d, v1) {
+		t.Errorf("names = %v, %v, want %v", a, d, v1)
+	}
+}
+
 func TestPersistReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "digests.cas")
 	s, err := Open(path, "fp-1", 0)

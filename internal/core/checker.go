@@ -189,12 +189,21 @@ type Config struct {
 // Checker is ModChecker's Integrity-Checker plus the driver that runs the
 // full Searcher -> Parser -> Checker pipeline across a VM pool.
 type Checker struct {
-	cfg Config
+	cfg   Config
+	stats *DigestStats
 }
 
 // NewChecker creates a Checker.
 func NewChecker(cfg Config) *Checker {
-	return &Checker{cfg: cfg}
+	return &Checker{cfg: cfg, stats: &DigestStats{}}
+}
+
+// ShareDigestStats makes the checker count its digest-stage work into s —
+// one sink several checkers can share, as the cloud facade's registry does —
+// and returns the checker.
+func (c *Checker) ShareDigestStats(s *DigestStats) *Checker {
+	c.stats = s
+	return c
 }
 
 // charge accounts nominal work and returns the stretched duration.

@@ -260,6 +260,11 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 		}
 	}
 
+	// The reference memo lives for this module check: the first digest task
+	// seeds it, and every later one, in any shard, only reads it.
+	memo := &digestMemo{}
+	defer memo.release()
+
 	// Fetch + digest stage, shard by shard: bookkeeping in pool order, and
 	// only the first fetched copy of each digest key keeps its buffer, as
 	// the materialized representative for the compare stage.
@@ -274,7 +279,8 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 		c.run("fetch", len(batch), func(k int) {
 			fetches[batch[k]] = src.fetch(c, module, src.leaders[batch[k]])
 		})
-		var toDigest []int
+		var toDigest []int       // leader positions, pool order
+		var digesting []*fetched // their fetches
 		for _, p := range batch {
 			i, f := src.leaders[p], fetches[p]
 			fetchCosts[i] = f.timing.Total()
@@ -292,14 +298,12 @@ func (c *Checker) clusterPass(module string, src *poolSource, shard int, store *
 				continue
 			}
 			toDigest = append(toDigest, p)
+			digesting = append(digesting, f)
 		}
-		dkeys := make([]string, len(toDigest))
-		dcosts := make([]time.Duration, len(toDigest))
-		c.run("digest", len(toDigest), func(k int) {
-			key, cost := c.digestAgainst(fetches[ref], fetches[toDigest[k]])
-			dkeys[k] = key
-			dcosts[k] = c.charge(cost)
-		})
+		if len(toDigest) == 0 {
+			continue
+		}
+		dkeys, dcosts := c.digestStage(fetches[ref], digesting, memo)
 		for k, p := range toDigest {
 			keys[p] = dkeys[k]
 			digestVM = append(digestVM, src.leaders[p])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/md5"
 	"encoding/binary"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"modchecker/internal/metrics"
 	"modchecker/internal/trace"
 )
 
@@ -234,6 +236,108 @@ func (c *Checker) comparePairwise(module string, fetches []*fetched) (map[pairKe
 	return mismatches, work, elapsed
 }
 
+// DigestStats counts how the engine's digest stage served Normalize
+// components: memos seeded, copies replayed against a memo's site list, and
+// full diff scans outside the seeding task. Seeding runs on the driving
+// goroutine and every later path is a function of the bytes compared, so
+// the counts are a pure function of guest memory, however the workers
+// interleave. The counters are metrics.Counter values so the same figures
+// publish through a metrics.Registry via Bind.
+type DigestStats struct {
+	seeded    metrics.Counter
+	replays   metrics.Counter
+	fallbacks metrics.Counter
+}
+
+// Bind publishes the counters through the registry under the core/ prefix.
+func (s *DigestStats) Bind(r *metrics.Registry) {
+	r.RegisterFunc("core/digest_memo_seeded", s.seeded.Load)
+	r.RegisterFunc("core/digest_replays", s.replays.Load)
+	r.RegisterFunc("core/digest_fallbacks", s.fallbacks.Load)
+}
+
+// digestMemo is one module check's reference memo: for each Normalize
+// component of the reference, the normal form the first digest task in pool
+// order left on the reference side, its MD5, and the rewrite sites that
+// produced it. Later copies that replaySites accepts against that site list
+// normalize to the memo's bytes on both sides, so their digest parts reuse
+// its sum with no copy, scan or hash. The memo keeps no copies: its bytes
+// are the seeding task's pooled scratch buffer, recycled by release.
+//
+// The seeding task runs on the driving goroutine before any worker starts
+// (digestStage), and the workers only read the memo, so it needs no lock.
+type digestMemo struct {
+	comps  []memoEntry // indexed like the reference's components
+	sealed bool        // the seeding task has run; only reads follow
+}
+
+// memoEntry is one component's memo; buf is nil when the component is not
+// memoized. width is the address width of the seeding pair's scan, which
+// found sites: a pair of another width decodes other windows.
+type memoEntry struct {
+	buf   *[]byte
+	sum   [md5.Size]byte
+	sites []uint32
+	width int
+}
+
+// replays reports whether the full scan of data against the reference
+// component ref, at width, would normalize both to the memo's bytes
+// (replaySites), so their digest parts may take the memo's sum.
+func (e *memoEntry) replays(data, ref []byte, base, refBase uint64, width int) bool {
+	return e.width == width && replaySites(data, ref, e.sites, base, refBase, width)
+}
+
+// entry returns the memo of reference component i, or nil.
+func (m *digestMemo) entry(i int) *memoEntry {
+	if i >= len(m.comps) || m.comps[i].buf == nil {
+		return nil
+	}
+	return &m.comps[i]
+}
+
+// keep memoizes reference component i (of n) from the seeding task's
+// reference-side buffer, normalized at width, taking ownership of buf.
+//
+//modown:transfer scratch
+func (m *digestMemo) keep(i, n int, buf *[]byte, sum [md5.Size]byte, sites []uint32, width int) {
+	if m.comps == nil {
+		m.comps = make([]memoEntry, n)
+	}
+	m.comps[i] = memoEntry{buf: buf, sum: sum, sites: sites, width: width}
+}
+
+// release recycles every memoized buffer at module end.
+func (m *digestMemo) release() {
+	for i := range m.comps {
+		if m.comps[i].buf != nil {
+			putScratch(m.comps[i].buf)
+		}
+	}
+	m.comps = nil
+}
+
+// digestStage digests every fetch of batch against ref. The first task of a
+// module check seeds memo on the driving goroutine; every other task fans
+// out on the worker pool and only reads the memo.
+func (c *Checker) digestStage(ref *fetched, batch []*fetched, memo *digestMemo) ([]string, []time.Duration) {
+	keys := make([]string, len(batch))
+	costs := make([]time.Duration, len(batch))
+	digest := func(k int) {
+		key, cost := c.digestAgainst(ref, batch[k], memo)
+		keys[k] = key
+		costs[k] = c.charge(cost)
+	}
+	first := 0
+	if !memo.sealed && len(batch) > 0 {
+		digest(0)
+		memo.sealed = true
+		first = 1
+	}
+	c.run("digest", len(batch)-first, func(k int) { digest(first + k) })
+	return keys, costs
+}
+
 // digestAgainst computes one copy's cluster key: every component normalized
 // against the reference fetch and digested, folding in both normalized
 // sides. Including the reference's normalized side is what makes digest
@@ -241,8 +345,12 @@ func (c *Checker) comparePairwise(module string, fetches []*fetched) (map[pairKe
 // rewrote the reference identically, which rules out a tampered byte that
 // happens to coincide with a legitimate copy's normalized form.
 //
+// memo, when not nil, is the module check's reference memo (digestMemo):
+// an unsealed one is seeded from this copy, a sealed one only read. The key
+// and the cost are the same with and without it; only host work differs.
+//
 //moddet:sink digest keys must be a pure function of guest memory
-func (c *Checker) digestAgainst(ref, f *fetched) (string, time.Duration) {
+func (c *Checker) digestAgainst(ref, f *fetched, memo *digestMemo) (string, time.Duration) {
 	h := md5.New()
 	var cost time.Duration
 	var lenBuf [8]byte
@@ -253,6 +361,8 @@ func (c *Checker) digestAgainst(ref, f *fetched) (string, time.Duration) {
 		h.Write(lenBuf[:])
 		h.Write(sum[:])
 	}
+	seeding := memo != nil && !memo.sealed
+	var seeded, replays, fallbacks uint64
 	for i := range f.parsed.Components {
 		comp := &f.parsed.Components[i]
 		if c.cfg.Normalizer == NormalizeRelocTable {
@@ -261,20 +371,52 @@ func (c *Checker) digestAgainst(ref, f *fetched) (string, time.Duration) {
 			writePart(comp.Name, len(comp.Data), f.normHashes[comp.Name])
 			continue
 		}
-		refComp := ref.parsed.Component(comp.Name)
-		if comp.Normalize && refComp != nil {
-			data, refData := comp.Data, refComp.Data
+		ri := ref.parsed.componentIndex(comp.Name)
+		if comp.Normalize && ri >= 0 {
+			data, refData := comp.Data, ref.parsed.Components[ri].Data
 			cost += perKB(len(data)+len(refData), scanCostPerKB)
+			cost += perKB(len(data)+len(refData), hashCostPerKB)
+			base, refBase, width := f.info.DllBase, ref.info.DllBase, pairWidth(f.parsed, ref.parsed)
+			var m *memoEntry
+			if memo != nil {
+				m = memo.entry(ri)
+			}
+			if m != nil && m.replays(data, refData, base, refBase, width) {
+				replays++
+				writePart(comp.Name, len(data), m.sum)
+				writePart("", len(refData), m.sum)
+				continue
+			}
 			sa := getScratch(len(data))
 			sb := getScratch(len(refData))
 			copy(*sa, data)
 			copy(*sb, refData)
-			normalizePairInPlace(*sa, *sb, f.info.DllBase, ref.info.DllBase, pairWidth(f.parsed, ref.parsed))
-			cost += perKB(len(*sa)+len(*sb), hashCostPerKB)
-			writePart(comp.Name, len(*sa), md5.Sum(*sa))
-			writePart("", len(*sb), md5.Sum(*sb))
+			sites := normalizePairInPlace(*sa, *sb, base, refBase, width)
+			var refSum [md5.Size]byte
+			if m != nil && bytes.Equal(*sb, *m.buf) {
+				refSum = m.sum
+			} else {
+				refSum = md5.Sum(*sb)
+			}
+			equal := bytes.Equal(*sa, *sb)
+			sum := refSum
+			if !equal {
+				sum = md5.Sum(*sa)
+			}
+			writePart(comp.Name, len(*sa), sum)
+			writePart("", len(*sb), refSum)
 			putScratch(sa)
-			putScratch(sb)
+			// Only a clean pair seeds: an infected first copy leaves the
+			// component un-memoized, slower but still exact.
+			if seeding && equal && m == nil {
+				memo.keep(ri, len(ref.parsed.Components), sb, refSum, sites, width)
+				seeded++
+			} else {
+				putScratch(sb)
+				if !seeding {
+					fallbacks++
+				}
+			}
 			continue
 		}
 		// Non-relocated components (and components the reference lacks)
@@ -283,5 +425,8 @@ func (c *Checker) digestAgainst(ref, f *fetched) (string, time.Duration) {
 		cost += perKB(len(comp.Data), hashCostPerKB)
 		writePart(comp.Name, len(comp.Data), md5.Sum(comp.Data))
 	}
+	c.stats.seeded.Add(seeded)
+	c.stats.replays.Add(replays)
+	c.stats.fallbacks.Add(fallbacks)
 	return string(h.Sum(nil)), cost
 }

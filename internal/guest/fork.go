@@ -25,13 +25,7 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 		as:           as,
 		nextModuleVA: g.nextModuleVA,
 		disk:         g.disk,
-		modules:      make(map[string]*LoadedModule, len(g.modules)),
-	}
-	// LoadedModule records are immutable once linked, so sharing the
-	// pointers is safe; the map itself must be private because load/unload
-	// mutate it in place.
-	for k, v := range g.modules {
-		c.modules[k] = v
+		modules:      cloneModules(g.modules),
 	}
 	c.pool = &poolAllocator{as: as, next: g.pool.next, mappedEnd: g.pool.mappedEnd}
 	c.res.init(seed)

@@ -24,14 +24,9 @@ type Snapshot struct {
 func (g *Guest) Snapshot() *Snapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	mods := make(map[string]*LoadedModule, len(g.modules))
-	for k, v := range g.modules {
-		c := *v
-		mods[k] = &c
-	}
 	return &Snapshot{
 		phys:         g.phys.Clone(),
-		modules:      mods,
+		modules:      cloneModules(g.modules),
 		nextModuleVA: g.nextModuleVA,
 		poolNext:     g.pool.next,
 		poolMapped:   g.pool.mappedEnd,
@@ -51,9 +46,16 @@ func (g *Guest) Restore(s *Snapshot) {
 	g.pool = &poolAllocator{as: g.as, next: s.poolNext, mappedEnd: s.poolMapped}
 	g.nextModuleVA = s.nextModuleVA
 	g.disk = s.disk
-	g.modules = make(map[string]*LoadedModule, len(s.modules))
-	for k, v := range s.modules {
-		c := *v
-		g.modules[k] = &c
+	g.modules = cloneModules(s.modules)
+}
+
+// cloneModules copies a module table. LoadedModule records are immutable
+// once linked, so the copies share them; the map itself must be private
+// because load and unload mutate it in place.
+func cloneModules(mods map[string]*LoadedModule) map[string]*LoadedModule {
+	out := make(map[string]*LoadedModule, len(mods))
+	for k, v := range mods {
+		out[k] = v
 	}
+	return out
 }

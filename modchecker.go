@@ -152,6 +152,7 @@ type Cloud struct {
 	profile vmi.Profile
 	plan    *faults.Plan
 	stats   *vmi.SharedStats
+	digest  *core.DigestStats
 	reg     *metrics.Registry
 	tracer  *trace.Tracer
 	noTLB   bool
@@ -189,17 +190,20 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		domains: domains,
 		profile: vmi.XPSP2Profile(guest.PsLoadedModuleListVA),
 		stats:   &vmi.SharedStats{},
+		digest:  &core.DigestStats{},
 		reg:     &metrics.Registry{},
 		noTLB:   cfg.NoTranslationCache,
 	}
 	c.stats.Bind(c.reg)
+	c.digest.Bind(c.reg)
 	c.hv.Bind(c.reg)
 	return c, nil
 }
 
 // Metrics returns the cloud-wide metrics registry. Every layer publishes
 // into it: VMI work counters (vmi/*), hypervisor charge accounting (hv/*),
-// and scanner sweep counters (scanner/*). Snapshot it for a deterministic,
+// the digest stage's memo counters (core/*), and scanner sweep counters
+// (scanner/*). Snapshot it for a deterministic,
 // name-sorted export.
 func (c *Cloud) Metrics() *MetricsRegistry { return c.reg }
 
@@ -584,7 +588,7 @@ func (c *Cloud) NewChecker(opts ...CheckerOption) *Checker {
 			}
 		}
 	}
-	return &Checker{cloud: c, inner: core.NewChecker(cfg)}
+	return &Checker{cloud: c, inner: core.NewChecker(cfg).ShareDigestStats(c.digest)}
 }
 
 // ListModules walks the named VM's loaded-module list via introspection and

@@ -77,7 +77,8 @@ func runTracedScenario(t *testing.T) (traceJSON []byte, fingerprint string, snap
 // TestTraceExportByteIdentical is the PR's determinism invariant: two runs
 // from one seed — parallel pipelined sweeps, racing fault injections, a
 // mid-sweep destroy — produce byte-identical Chrome trace exports, identical
-// findings/health, and an identical simulated clock.
+// findings/health, an identical simulated clock, and byte-identical metrics
+// exports.
 func TestTraceExportByteIdentical(t *testing.T) {
 	json1, fp1, snap1 := runTracedScenario(t)
 	json2, fp2, snap2 := runTracedScenario(t)
@@ -96,9 +97,24 @@ func TestTraceExportByteIdentical(t *testing.T) {
 		t.Fatalf("trace exports diverge in length: %d vs %d bytes", len(json1), len(json2))
 	}
 
-	// The fault counter is part of the deterministic surface too.
-	if a, b := counterValue(snap1, "faults/injected"), counterValue(snap2, "faults/injected"); a != b || a == 0 {
-		t.Errorf("faults/injected = %d vs %d, want equal and nonzero", a, b)
+	// The fault counter is part of the deterministic surface too, and so
+	// are the digest memo's counters: seeding runs on the driving goroutine
+	// and every later path is a function of the bytes compared. This clean
+	// pool seeds memos and replays against them.
+	for _, name := range []string{"faults/injected", "core/digest_memo_seeded", "core/digest_replays"} {
+		if a, b := counterValue(snap1, name), counterValue(snap2, name); a != b || a == 0 {
+			t.Errorf("%s = %d vs %d, want equal and nonzero", name, a, b)
+		}
+	}
+	var m1, m2 bytes.Buffer
+	if err := snap1.WriteText(&m1); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap2.WriteText(&m2); err != nil {
+		t.Fatal(err)
+	}
+	if m1.String() != m2.String() {
+		t.Errorf("metrics exports diverge across identically seeded runs:\n--- run 1\n%s--- run 2\n%s", &m1, &m2)
 	}
 }
 
